@@ -23,7 +23,7 @@ from .oracle import (GammaExpr, FreezeLeading, MergeBlocks, MomentFormula,
                      OracleModelError, diagonal_restrict, dump_terms,
                      gamma_evaluate, mixed_moment, semigroup_apply,
                      simplex_integrate)
-from .silt import (EpsStudy, PairGrid, ResolutionError, SiltComponents,
+from .silt import (EpsStudy, ResolutionError, SiltComponents,
                    SiltUsageError, double_point_term,
                    epsilon_convergence_study, gamma_epsilon,
                    tanaka_decomposition)
@@ -49,7 +49,7 @@ __all__ = [
     "GammaExpr", "FreezeLeading", "MergeBlocks", "MomentFormula",
     "OracleModelError", "diagonal_restrict", "dump_terms", "gamma_evaluate",
     "mixed_moment", "semigroup_apply", "simplex_integrate",
-    "EpsStudy", "PairGrid", "ResolutionError", "SiltComponents",
+    "EpsStudy", "ResolutionError", "SiltComponents",
     "SiltUsageError", "double_point_term", "epsilon_convergence_study",
     "gamma_epsilon", "tanaka_decomposition",
     "__version__",

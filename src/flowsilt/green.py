@@ -9,9 +9,11 @@ one-dimensional adaptive quadrature in time.
 
 Mollification convolves the kernel with the standard bump supported on
 the ball of radius eps; in two dimensions the base kernel enters through
-its Bessel K0 form. The result is kept as a dense radial profile with a
-cubic-spline reader, which is what the pair-sum estimators evaluate in
-bulk.
+its Bessel K0 form. Outside the bump support the convolution is exactly
+the sharp kernel times a constant C_d(eps), so only [0, eps] needs a
+tabulated profile: a clamped cubic spline of the panel quadrature there,
+and the closed form (Bessel K0 in d=2) beyond. These are the reads the
+pair-sum estimators evaluate in bulk.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import i0, k0
+from scipy.special import i0, k0, k1
 
 from .model import CoefficientModel, a_matrix
 
@@ -185,11 +187,12 @@ def resolvent_green(model: CoefficientModel, lam: float, u, x) -> float:
 class MollifiedGreen:
     """The resolvent kernel convolved with the radius-eps bump.
 
-    Exact panel quadrature fills a dense radial profile once; reads go
-    through a clamped cubic spline. Supported for isotropic constant
-    coefficients in dimensions one through three, where the base kernel
-    reduces to an exponential (d=1, 3) or a Bessel K0 (d=2) and the
-    spherical average over the bump support is elementary.
+    Supported for isotropic constant coefficients in dimensions one
+    through three, where the base kernel reduces to an exponential (d=1,
+    3) or a Bessel K0 (d=2) and the spherical average over the bump
+    support is elementary. Beyond eps the convolution is the base kernel
+    times a constant (see ``far_scale``); inside eps reads go through a
+    clamped cubic spline of the exact panel quadrature.
     """
 
     GRID_POINTS = 4096
@@ -218,98 +221,111 @@ class MollifiedGreen:
         cut = coarse[keep[-1]] + 2.0 * (coarse[1] - coarse[0])
         self.support_radius = float(min(cut, r_far))
 
-        self._grid = np.linspace(0.0, self.support_radius, grid_points)
+        # the spherical mean of the base kernel over a sphere of radius
+        # s < r around a point at radius r is G(r) phi(kappa s), phi the
+        # regular radial solution of the same equation with phi(0) = 1
+        nodes, weights = _gl_cache(96)
+        s = 0.5 * self.eps * (nodes + 1.0)
+        ks = base.kappa * s
+        phi = {1: np.cosh, 2: i0, 3: lambda x: np.sinh(x) / x}[self.dim](ks)
+        shell = s ** (self.dim - 1) * mollifier_radial(s, self.eps, self.dim)
+        self.far_scale = float(_SPHERE_AREA[self.dim] * 0.5 * self.eps
+                               * ((shell * phi) @ weights))
+
+        self._grid = np.linspace(0.0, self.eps, grid_points)
         self._profile = self.exact_radial(self._grid)
+        slope = self.far_scale * self._base_slope(self.eps)
         self._spline = CubicSpline(self._grid, self._profile,
-                                   bc_type=((1, 0.0), (2, 0.0)))
+                                   bc_type=((1, 0.0), (1, slope)))
 
     # -- exact panel convolution (reference evaluator)
 
     def exact_radial(self, r) -> np.ndarray:
-        r_arr = np.atleast_1d(np.abs(np.asarray(r, dtype=float)))
-        out = np.array([self._exact_one(x) for x in r_arr])
-        r = np.asarray(r)
-        return out.reshape(r.shape) if r.shape else out[0]
+        """Panel quadrature of the convolution at every radius in r.
 
-    def _exact_one(self, r: float) -> float:
+        Each radius gets two 96-node Gauss-Legendre panels split at
+        min(r, eps), where the integrand has its kink; all radii are
+        evaluated together as one (len(r), 96) array per panel.
+        """
+        r_in = np.asarray(r, dtype=float)
+        rr = np.abs(r_in).reshape(-1)
         eps = self.eps
-        if self.dim == 1:
-            # kink of the base kernel at s = r
-            nodes, weights = _gl_cache(96)
-
-            def panel(lo, hi):
-                if hi <= lo:
-                    return 0.0
-                s = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-                w = 0.5 * (hi - lo) * weights
-                vals = mollifier_radial(s, eps, 1) * self.base.radial(r - s)
-                return float(vals @ w)
-
-            if r < eps:
-                return panel(-eps, r) + panel(r, eps)
-            return panel(-eps, eps)
-
-        if self.dim == 2:
-            # circular average of K0 around a ring of radius s at
-            # distance r collapses to K0(kap r>) I0(kap r<), leaving a
-            # single radial quadrature with a derivative kink at s = r
-            a, kap = self.base.alpha, self.base.kappa
-            nodes, weights = _gl_cache(96)
-
-            def ring(lo, hi):
-                if hi <= lo:
-                    return 0.0
-                s = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-                w = 0.5 * (hi - lo) * weights
-                bump = mollifier_radial(s, eps, 2)
-                outer = k0(kap * np.maximum(s, r))
-                inner = i0(kap * np.minimum(s, r))
-                return float((s * bump * outer * inner) @ w)
-
-            if r < 1e-9:
-                def near(s):
-                    return float(s * mollifier_radial(s, eps, 2)
-                                 * k0(kap * s))
-                val, _ = quad(near, 0.0, eps, epsabs=1e-14, epsrel=1e-12,
-                              limit=200)
-                return (2.0 / a) * val
-            mid = min(r, eps)
-            return (2.0 / a) * (ring(0.0, mid) + ring(mid, eps))
-
-        # d = 3: radial chord formula with the exponential antiderivative
         a, kap = self.base.alpha, self.base.kappa
         nodes, weights = _gl_cache(96)
+        mid = np.minimum(rr, eps)[:, None]
 
-        def chord(lo, hi):
-            if hi <= lo:
-                return 0.0
-            s = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-            w = 0.5 * (hi - lo) * weights
-            bump = mollifier_radial(s, eps, 3)
-            term = np.exp(-kap * np.abs(r - s)) - np.exp(-kap * (r + s))
-            return float((s * bump * term) @ w)
+        def integral(f, lo, hi):
+            half = 0.5 * (hi - lo)
+            return (f(half * (nodes + 1.0) + lo) * half * weights).sum(axis=-1)
 
-        if r < 1e-9:
-            def near(lo, hi):
-                if hi <= lo:
-                    return 0.0
-                s = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-                w = 0.5 * (hi - lo) * weights
-                vals = (s * mollifier_radial(s, eps, 3)
-                        * np.exp(-kap * s))
-                return float(vals @ w)
-            return (2.0 / a) * near(0.0, eps)
-        mid = min(r, eps)
-        total = chord(0.0, mid) + chord(mid, eps)
-        return total / (a * kap * r)
+        if self.dim == 1:
+            def f(s):
+                return (mollifier_radial(s, eps, 1)
+                        * self.base.radial(rr[:, None] - s))
+            out = integral(f, -eps, mid) + integral(f, mid, eps)
+            return out.reshape(r_in.shape)
+
+        def shell(weight):
+            return lambda s: s * mollifier_radial(s, eps, self.dim) * weight(s)
+
+        out = np.zeros(rr.shape)
+        pos = rr > 0.0
+        x = kap * rr[pos]
+        if self.dim == 3:
+            # radial chord formula: the spherical mean of exp(-kap |y|)/|y|
+            # over a sphere of radius s at distance r is
+            # exp(-kap r>) sinh(kap r<) / (kap r s), kept in that product
+            # form so small r loses no digits to cancellation
+            inner = integral(shell(lambda s: np.sinh(kap * s)), 0.0, mid)
+            outer = integral(shell(lambda s: np.exp(-kap * s)), mid, eps)
+            out[pos] = (inner[pos] * np.exp(-x) + outer[pos] * np.sinh(x)) / x
+            out[~pos] = outer[~pos]
+        else:
+            # d = 2: the circular average of K0 around a ring of radius s
+            # at distance r is K0(kap r>) I0(kap r<). The part beyond s = r
+            # is the whole K0 integral less its prefix up to r.
+            def k0_prefix(m):
+                # nodes s = m t^2 smooth the log singularity of K0 at s = 0
+                def f(t):
+                    s = m * t * t
+                    return (s * mollifier_radial(s, eps, 2) * k0(kap * s)
+                            * 2.0 * m * t)
+                return integral(f, 0.0, 1.0)
+
+            inner = integral(shell(lambda s: i0(kap * s)), 0.0, mid)
+            full = k0_prefix(eps)
+            out[pos] = (inner[pos] * k0(x)
+                        + (full - k0_prefix(mid[pos])) * i0(x))
+            out[~pos] = full
+        return ((2.0 / a) * out).reshape(r_in.shape)
 
     # -- fast reads
 
+    def _base_radial(self, r: np.ndarray) -> np.ndarray:
+        """The sharp kernel at radii r > 0, without quadrature in d=2."""
+        if self.dim == 2:
+            return k0(self.base.kappa * r) / (math.pi * self.base.alpha)
+        return self.base.radial(r)
+
+    def _base_slope(self, r: float) -> float:
+        """Radial derivative of the sharp kernel at r > 0."""
+        kap = self.base.kappa
+        if self.dim == 2:
+            return -kap * float(k1(kap * r)) / (math.pi * self.base.alpha)
+        g = float(self.base.radial(r))
+        return -kap * g if self.dim == 1 else -(kap + 1.0 / r) * g
+
     def radial(self, r) -> np.ndarray:
-        r = np.abs(np.asarray(r, dtype=float))
-        out = self._spline(np.clip(r, 0.0, self.support_radius))
-        out = np.where(r > self.support_radius, 0.0, out)
-        return np.maximum(out, 0.0)
+        """Kernel value at radius r: the spline inside eps, far_scale
+        times the sharp kernel from eps to support_radius, zero beyond."""
+        r_in = np.abs(np.asarray(r, dtype=float))
+        rr = r_in.reshape(-1)
+        out = np.zeros(rr.shape)
+        inner = rr < self.eps
+        out[inner] = self._spline(rr[inner])
+        outer = ~inner & (rr <= self.support_radius)
+        out[outer] = self.far_scale * self._base_radial(rr[outer])
+        return np.maximum(out, 0.0).reshape(r_in.shape)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(self.dim)
@@ -329,7 +345,7 @@ class MollifiedGreen:
         d = self.dim
 
         def shell(r):
-            return _SPHERE_AREA[d] * r ** (d - 1) * self._exact_one(r)
+            return _SPHERE_AREA[d] * r ** (d - 1) * float(self.exact_radial(r))
 
         val, _ = quad(shell, 0.0, self.support_radius,
                       points=[self.eps], epsabs=1e-11, epsrel=1e-11,
@@ -343,7 +359,8 @@ class MollifiedGreen:
         def shell(r):
             if r == 0.0 and d >= 2:
                 r = 1e-300
-            diff = abs(self._exact_one(r) - float(self.base.radial(r)))
+            diff = abs(float(self.exact_radial(r))
+                       - float(self.base.radial(r)))
             return _SPHERE_AREA[d] * r ** (d - 1) * diff
 
         hi = self.support_radius

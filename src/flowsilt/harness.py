@@ -110,9 +110,11 @@ def _want(mapping: dict, key: str, kind, source: str, default=None,
             raise ConfigError(f"{source}: missing required key '{key}'")
         return default
     value = mapping[key]
-    if kind is float and isinstance(value, int):
+    # JSON true/false load as bool, which Python also counts as an int
+    is_bool = isinstance(value, bool)
+    if kind is float and isinstance(value, int) and not is_bool:
         value = float(value)
-    if not isinstance(value, kind):
+    if is_bool or not isinstance(value, kind):
         raise ConfigError(
             f"{source}: key '{key}' should be {kind}, got {type(value).__name__}"
         )
@@ -211,7 +213,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         lam=float(lam), u=tuple(float(x) for x in u), eps_schedule=eps,
         suites=tuple(suites),
         out_dir=str(raw.get("out", "flowsilt-out")),
-        threads=int(raw.get("threads", 1)),
+        threads=_want(raw, "threads", int, source, default=1),
         mean_se=float(mean_se), var_se=float(var_se),
         source=source,
     )

@@ -1,11 +1,14 @@
 """Renormalized self-intersection functionals on recorded trajectories.
 
 Everything here reduces to pair sums: for snapshot times t_i <= t_j, the
-value sum_{a,b} w^2 K(|x_a(t_i) - x_b(t_j) - u|) for radial kernels K.
-One radius tensor per trajectory feeds every kernel (the mollified
-resolvent, the mollifier itself, the exact resolvent, box indicators), so
-estimators with different kernels are coupled on the same paths by
-construction.
+cell value p[i, j] = sum_{a,b} w^2 K(|x_a(t_i) - x_b(t_j) - u|) for radial
+kernels K. One streaming pass over the time columns feeds every kernel of
+an estimator (the mollified resolvent, the mollifier itself, box
+indicators, the exact resolvent): column j pairs x(t_j) with all earlier
+snapshots and with itself, one block of radii at a time, so estimators
+with different kernels are coupled on the same paths by construction and
+no more than a bounded block of radii is held at once. Compactly supported
+kernels are evaluated only on the radii within their reach.
 
 Discretization conventions, fixed across all components so the Tanaka
 identity closes at the grid level: every time integral is a left-endpoint
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import math
 
 import numpy as np
 
@@ -90,7 +95,9 @@ class PairGrid:
 
     Strict cells (i < j) and diagonal cells (i = j, self-pairs included)
     are stored as two flat arrays with per-cell offsets; each kernel is
-    one vectorized evaluation plus a segmented reduction.
+    one vectorized evaluation plus a segmented reduction. The estimators
+    use the streaming ``_pair_pass``; this dense form holds all J^2 A^2
+    radii at once and is kept as its reference.
     """
 
     def __init__(self, traj: RecordedTrajectory, u, upto: int):
@@ -167,8 +174,114 @@ def _snap_horizon(traj: RecordedTrajectory, t: float) -> int:
     return traj.snap_index(t)
 
 
-def build_pair_grid(traj: RecordedTrajectory, u, horizon: float) -> PairGrid:
-    return PairGrid(traj, u, _snap_horizon(traj, horizon))
+# ---------------------------------------------------------------------------
+# streaming pair sums
+
+# radii held at once per block: each temporary of a block is at most 2 MiB
+BLOCK_PAIRS = 1 << 18
+
+
+def _radii(rows: np.ndarray, cols: np.ndarray,
+           shift: np.ndarray) -> np.ndarray:
+    """(len(rows), len(cols)) radii |rows_a - cols_b - shift|, summed
+    coordinate by coordinate so no (N, M, d) temporary is formed."""
+    acc = np.subtract.outer(rows[:, 0], cols[:, 0] + shift[0])
+    if rows.shape[1] == 1:
+        return np.abs(acc, out=acc)
+    np.square(acc, out=acc)
+    tmp = np.empty_like(acc)
+    for k in range(1, rows.shape[1]):
+        np.subtract.outer(rows[:, k], cols[:, k] + shift[k], out=tmp)
+        acc += np.square(tmp, out=tmp)
+    return np.sqrt(acc, out=acc)
+
+
+def _segment_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of vals over the segments that begin at starts (the last one
+    runs to the end); empty segments sum to zero."""
+    out = np.zeros(len(starts))
+    nonempty = np.diff(starts, append=vals.shape[0]) > 0
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(vals, starts[nonempty], dtype=float)
+    return out
+
+
+def _read_sums(radii: np.ndarray, starts: np.ndarray, reads) -> np.ndarray:
+    """Per-segment kernel sums over flat radii, one row per read.
+
+    A read is (radial_fn, reach) with radial_fn zero beyond reach
+    (math.inf for kernels without compact support). Reads are visited by
+    falling reach, each keeping only the radii within its own reach from
+    those the one before kept, so a compact kernel never sees the far
+    pairs.
+    """
+    cur = radii.reshape(-1)
+    out = np.zeros((len(reads), len(starts)))
+    held = math.inf
+    for k in sorted(range(len(reads)), key=lambda k: -reads[k][1]):
+        fn, reach = reads[k]
+        if reach < held:
+            keep = cur <= reach
+            counts = _segment_sums(keep, starts).astype(np.int64)
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            cur = cur[keep]
+            held = reach
+        if cur.size:
+            out[k] = _segment_sums(np.asarray(fn(cur), dtype=float), starts)
+    return out
+
+
+def _pair_pass(traj: RecordedTrajectory, u, last: int, strict=(), diag=()):
+    """Pair-functional cell sums over snapshots t_0 .. t_last, one time
+    column at a time.
+
+    Returns ``(cells, diagonal)``: ``cells[k]`` is the (last+1)^2 matrix
+    with p[i, j] at i < j for strict read k, and ``diagonal[k]`` the
+    vector p[j, j] (self-pairs included) for diag read k. Column j pairs
+    x(t_j) with the concatenated earlier snapshots in blocks of whole
+    snapshots holding at most ``BLOCK_PAIRS`` radii (one snapshot when it
+    alone is larger), and with itself; each block is dropped after its
+    sums are taken.
+    """
+    pos = traj.positions[:last + 1]
+    d = pos[0].shape[1]
+    shift = np.zeros(d) if u is None else np.asarray(u, dtype=float).reshape(d)
+    flat = np.concatenate(pos)
+    off = _offsets(pos)
+    cells = np.zeros((len(strict), last + 1, last + 1))
+    diagonal = np.zeros((len(diag), last + 1))
+    one_segment = np.zeros(1, dtype=np.int64)
+    for j in range(last + 1):
+        col = pos[j]
+        width = col.shape[0]
+        if width == 0:
+            continue
+        if diag:
+            diagonal[:, j] = _read_sums(_radii(col, col, shift), one_segment,
+                                        diag)[:, 0]
+        if not strict:
+            continue
+        cap = max(1, BLOCK_PAIRS // width)
+        lo = 0
+        while lo < j:
+            hi = lo + 1
+            while hi < j and off[hi + 1] - off[lo] <= cap:
+                hi += 1
+            if off[hi] > off[lo]:
+                starts = (off[lo:hi] - off[lo]) * width
+                block = _radii(flat[off[lo]:off[hi]], col, shift)
+                cells[:, lo:hi, j] = _read_sums(block, starts, strict)
+            lo = hi
+    w2 = traj.weight ** 2
+    return cells * w2, diagonal * w2
+
+
+def _gamma_read(kernel: MollifiedGreen, alpha_sim: float):
+    """(lambda - L_sim) G_eps as a read: compact exactly when the
+    simulation generator is the kernel's own (rho = 1)."""
+    reach = kernel.eps if alpha_sim == kernel.base.alpha else math.inf
+    return (lambda r: kernel.lambda_minus_l_radial(r, sim_alpha=alpha_sim),
+            reach)
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +304,28 @@ def _check_lambda(kernel: MollifiedGreen, lam: float) -> None:
 
 
 def gamma_epsilon(traj: RecordedTrajectory, kernel: MollifiedGreen,
-                  lam: float, horizon: float,
-                  grid: Optional[PairGrid] = None) -> float:
+                  lam: float, horizon: float) -> float:
     """Double time integral of <(lambda - L) G_eps, mu_s mu_t> over s < t."""
     _check_lambda(kernel, lam)
     _sim_rho(traj, kernel)  # dimension and isotropy check
     upto = _snap_horizon(traj, horizon)
     _require_resolution(upto)
     alpha_sim = isotropic_alpha(traj.model)
-    if grid is None:
-        grid = PairGrid(traj, kernel.u, upto)
+    cells, _ = _pair_pass(traj, kernel.u, upto - 1,
+                          strict=[_gamma_read(kernel, alpha_sim)])
     dt = traj.dt
-    total = grid.strict_total(
-        lambda r: kernel.lambda_minus_l_radial(r, sim_alpha=alpha_sim),
-        upto - 1)
-    return dt * dt * total
+    return dt * dt * float(cells[0].sum())
 
 
 def double_point_term(traj: RecordedTrajectory, kernel: MollifiedGreen,
-                      horizon: float,
-                      grid: Optional[PairGrid] = None) -> float:
+                      horizon: float) -> float:
     """Left-endpoint time integral of the same-time pair functional."""
     upto = _snap_horizon(traj, horizon)
     if upto == 0:
         return 0.0
-    if grid is None:
-        grid = PairGrid(traj, kernel.u, upto)
-    diag = grid.diagonal(kernel.radial)
-    return traj.dt * float(diag[:upto].sum())
+    _, diag = _pair_pass(traj, kernel.u, upto - 1,
+                         diag=[(kernel.radial, math.inf)])
+    return traj.dt * float(diag[0].sum())
 
 
 def tanaka_decomposition(traj: RecordedTrajectory, kernel: MollifiedGreen,
@@ -232,14 +339,12 @@ def tanaka_decomposition(traj: RecordedTrajectory, kernel: MollifiedGreen,
     upto = _snap_horizon(traj, horizon)
     _require_resolution(upto)
     rho = _sim_rho(traj, kernel)
-    grid = PairGrid(traj, kernel.u, upto)
-    dt = traj.dt
-
-    p_g = grid.strict_matrix(kernel.radial)
-    p_psi = grid.strict_matrix(
-        lambda r: kernel.lambda_minus_l_radial(r, sim_alpha=None))
-    diag_g = grid.diagonal(kernel.radial)
-    return _components(p_g, p_psi, diag_g, lam, rho, dt, upto)
+    g_read = (kernel.radial, math.inf)
+    (p_g, p_psi), (diag_g,) = _pair_pass(
+        traj, kernel.u, upto,
+        strict=[g_read, (kernel.lambda_minus_l_radial, kernel.eps)],
+        diag=[g_read])
+    return _components(p_g, p_psi, diag_g, lam, rho, traj.dt, upto)
 
 
 def _components(p_g: np.ndarray, p_psi: np.ndarray, diag_g: np.ndarray,
@@ -318,30 +423,38 @@ class EpsStudy:
         return out
 
 
-def small_ball_lambda(grid: PairGrid, base: GreenFunction, dt: float,
+def _small_ball_reads(base: GreenFunction, h: float):
+    """Strict box reads at radii h, h/2, h/4 and the exact-kernel diag read."""
+    if base.dim != 1:
+        raise SiltUsageError("the small-ball comparator is one-dimensional")
+
+    def box(width):
+        return (lambda r: (r <= width) / (2.0 * width), width)
+    return [box(h), box(0.5 * h), box(0.25 * h)], [(base.radial, math.inf)]
+
+
+def _small_ball_value(boxes: np.ndarray, diag: np.ndarray, dt: float) -> float:
+    b1, b2, b3 = (dt * dt * float(cells.sum()) for cells in boxes)
+    gamma0 = (b1 - 6.0 * b2 + 8.0 * b3) / 3.0
+    return gamma0 - dt * float(diag.sum())
+
+
+def small_ball_lambda(traj: RecordedTrajectory, base: GreenFunction,
                       h: float) -> float:
     """Occupation-style estimate of the limiting renormalized value.
 
     Box-kernel pair counts at radii h, h/2 and h/4 combined with weights
-    (1, -6, 8)/3, minus the same-time term under the exact kernel.  The
-    pair-separation density has a kink at zero (nearby relatives pile up
-    there), so the box estimate carries both linear and quadratic errors
-    in h; the three-point combination cancels both.  One-dimensional
-    paths only.
+    (1, -6, 8)/3, minus the same-time term under the exact kernel, over
+    the whole recorded path.  The pair-separation density has a kink at
+    zero (nearby relatives pile up there), so the box estimate carries
+    both linear and quadratic errors in h; the three-point combination
+    cancels both.  One-dimensional paths only.
     """
-    if base.dim != 1:
-        raise SiltUsageError("the small-ball comparator is one-dimensional")
-    upto = grid.upto
-
-    def box(width):
-        return lambda r: (np.asarray(r) <= width) / (2.0 * width)
-
-    b1 = dt * dt * grid.strict_total(box(h), upto - 1)
-    b2 = dt * dt * grid.strict_total(box(0.5 * h), upto - 1)
-    b3 = dt * dt * grid.strict_total(box(0.25 * h), upto - 1)
-    gamma0 = (b1 - 6.0 * b2 + 8.0 * b3) / 3.0
-    dp0 = dt * float(grid.diagonal(base.radial)[:upto].sum())
-    return gamma0 - dp0
+    strict, diag = _small_ball_reads(base, h)
+    upto = len(traj.times) - 1
+    _require_resolution(upto)
+    boxes, (dp,) = _pair_pass(traj, base.u, upto - 1, strict, diag)
+    return _small_ball_value(boxes, dp, traj.dt)
 
 
 def epsilon_convergence_study(model: CoefficientModel,
@@ -369,7 +482,6 @@ def epsilon_convergence_study(model: CoefficientModel,
     base = GreenFunction(model, lam, u)
     kernels = [MollifiedGreen(base, e) for e in eps_schedule]
     alpha_sim = isotropic_alpha(model)
-    rho = alpha_sim / base.alpha  # same model: exactly 1
 
     result = simulate_ensemble(model, initial, n, horizon, seed, replicates,
                                sub_steps=sub_steps, record="full",
@@ -379,23 +491,28 @@ def epsilon_convergence_study(model: CoefficientModel,
     dps = np.zeros((replicates, n_eps))
     sball = np.zeros(replicates) if include_small_ball else None
 
+    strict = [_gamma_read(kern, alpha_sim) for kern in kernels]
+    diag = [(kern.radial, math.inf) for kern in kernels]
+    if sball is not None:
+        box_reads, base_read = _small_ball_reads(base, small_ball_h)
+        strict += box_reads
+        diag += base_read
+
     for r in range(replicates):
         traj = result.trajectory(r)
         upto = len(traj.times) - 1
         if upto == 0:
             continue
         _require_resolution(upto)
-        grid = PairGrid(traj, base.u, upto)
+        cells, diags = _pair_pass(traj, base.u, upto - 1, strict, diag)
         dt = traj.dt
-        for e, kern in enumerate(kernels):
-            gamma = dt * dt * grid.strict_total(
-                lambda rr: kern.lambda_minus_l_radial(rr, sim_alpha=alpha_sim),
-                upto - 1)
-            dp = dt * float(grid.diagonal(kern.radial)[:upto].sum())
+        for e in range(n_eps):
+            gamma = dt * dt * float(cells[e].sum())
+            dp = dt * float(diags[e].sum())
             renorm[r, e] = gamma - dp
             dps[r, e] = dp
         if sball is not None:
-            sball[r] = small_ball_lambda(grid, base, dt, small_ball_h)
+            sball[r] = _small_ball_value(cells[n_eps:], diags[n_eps], dt)
 
     distances = []
     for e in range(n_eps - 1):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import k0
+from scipy.special import i0, k0
 
 from flowsilt.green import (
     GreenFunction,
@@ -213,14 +213,41 @@ def test_l1_localization_shrinks_with_eps():
 
 
 def test_spline_reader_tracks_exact_profile():
-    base = GreenFunction(iso_model(3, 1.0), lam=1.0)
-    moll = mollify_green(base, 0.25)
     rng = np.random.default_rng(5)
-    radii = rng.uniform(0.0, moll.support_radius, size=64)
-    exact = moll.exact_radial(radii)
-    fast = moll.radial(radii)
-    assert np.max(np.abs(exact - fast)) < 1e-7 * moll.peak()
-    assert float(moll.radial(moll.support_radius + 1.0)) == 0.0
+    for dim in (1, 2, 3):
+        base = GreenFunction(iso_model(dim, 1.0), lam=1.0)
+        moll = mollify_green(base, 0.25)
+        radii = np.concatenate([rng.uniform(0.0, moll.eps, size=64),
+                                rng.uniform(0.0, moll.support_radius, size=64),
+                                [0.0, moll.eps, moll.support_radius]])
+        exact = moll.exact_radial(radii)
+        fast = moll.radial(radii)
+        assert np.max(np.abs(exact - fast) / exact) < 1e-10, dim
+        assert float(moll.radial(moll.support_radius + 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_far_field_is_scaled_sharp_kernel(dim):
+    """Beyond eps the bump sits inside the region where the sharp kernel
+    solves the homogeneous equation, so its spherical means factor:
+    G_eps(r) = C_d G(r) with C_d = integral of psi_eps(y) phi(kappa |y|),
+    phi = cosh, I0, sinh(x)/x in d = 1, 2, 3. The ratio of the panel
+    quadrature to the sharp kernel must be that constant, computed here
+    by adaptive quadrature."""
+    alpha, lam, eps = 1.3, 0.8, 0.3
+    base = GreenFunction(iso_model(dim, alpha), lam=lam)
+    moll = mollify_green(base, eps)
+    kap = base.kappa
+    phi = {1: math.cosh, 2: lambda x: float(i0(x)),
+           3: lambda x: math.sinh(x) / x}[dim]
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
+    c_d, _ = quad(lambda s: area * s ** (dim - 1)
+                  * float(mollifier_radial(s, eps, dim)) * phi(kap * s),
+                  1e-300, eps, epsabs=0.0, epsrel=1e-13)
+    assert moll.far_scale == pytest.approx(c_d, rel=1e-12)
+    radii = np.array([eps, 1.1 * eps, 0.7, 2.0, 6.0])
+    ratio = moll.exact_radial(radii) / base.radial(radii)
+    assert ratio == pytest.approx(np.full(radii.shape, c_d), rel=1e-10)
 
 
 def test_peak_grows_as_eps_shrinks_d3():

@@ -90,6 +90,15 @@ def test_wrong_type_reports_key_and_type() -> None:
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("path", ["sim.n", "sim.replicates", "sim.seed",
+                                  "silt.lambda", "threads"])
+def test_json_booleans_are_not_numbers(path) -> None:
+    """JSON true loads as a Python bool, which is also an int; a config
+    that says "n": true must be refused, not run with n = 1."""
+    with pytest.raises(ConfigError, match=r"should be .* got bool"):
+        config_from_dict(mutate(path, True))
+
+
 def mutate(path: str, value) -> dict:
     """Return base_dict() with one dotted key replaced."""
     raw = base_dict()
@@ -273,6 +282,17 @@ def test_cli_thread_overrides(tmp_path: Path, capsys, monkeypatch) -> None:
 
     monkeypatch.setenv("FLOWSILT_THREADS", "2")
     assert main(["validate", "--config", path]) == 0
+
+
+def test_cli_non_integer_threads_in_config_exits_2(tmp_path: Path,
+                                                   capsys) -> None:
+    raw = base_dict()
+    raw["threads"] = "x"
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "key 'threads' should be" in err
 
 
 def test_cli_simulate_writes_replicates(tmp_path: Path, capsys) -> None:

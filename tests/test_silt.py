@@ -7,6 +7,7 @@ component, which pins the quadrature conventions; ensemble behavior
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from scipy.integrate import quad
 from flowsilt.engine import RecordedTrajectory, simulate_ensemble
 from flowsilt.green import GreenFunction, MollifiedGreen, mollifier_radial
 from flowsilt.model import CoefficientModel, InitialMeasureSpec
+import flowsilt.silt as silt
 from flowsilt.silt import (
     EpsStudy,
     PairGrid,
     ResolutionError,
     SiltUsageError,
+    _components,
+    _pair_pass,
     decomposition_ensemble,
     double_point_term,
     epsilon_convergence_study,
@@ -118,6 +122,109 @@ def test_gamma_matches_manual_pair_sum_with_shift():
 
     assert gamma_epsilon(traj, kern, 1.0, 0.5) == pytest.approx(
         manual, rel=1e-12)
+
+
+def iso_model(dim, alpha):
+    b = math.sqrt(alpha / 2.0)
+    return CoefficientModel.constant(b=(b,) * dim, c=b * np.eye(dim))
+
+
+def _rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("block_pairs", [1 << 18, 40])
+def test_streaming_pass_matches_dense_pair_grid(dim, block_pairs, monkeypatch):
+    """Column totals, super-diagonal and diagonal of the streaming pass
+    against the dense radius tensor, with a shift u != 0 and a kernel
+    built for a different diffusivity than the simulation (rho != 1), so
+    (lambda - L_sim) G_eps has no compact support. block_pairs = 40
+    splits every column into blocks of one or a few snapshots."""
+    monkeypatch.setattr(silt, "BLOCK_PAIRS", block_pairs)
+    sim = iso_model(dim, 1.0)
+    result = simulate_ensemble(sim, InitialMeasureSpec.point((0.0,) * dim),
+                               n=16, horizon=0.5, seed=4, replicates=1,
+                               record="full")
+    traj = result.trajectory(0)
+    upto = len(traj.times) - 1
+    u = np.linspace(0.05, 0.15, dim)
+    kern = MollifiedGreen(GreenFunction(iso_model(dim, 1.6), 1.0, u), 0.2)
+    reads = [
+        (kern.radial, math.inf),
+        silt._gamma_read(kern, 1.0),
+        (kern.lambda_minus_l_radial, kern.eps),
+        (lambda r: (r <= 0.1) / 0.2, 0.1),
+    ]
+    assert reads[1][1] == math.inf   # rho != 1: not compact
+    cells, diag = _pair_pass(traj, u, upto, strict=reads, diag=reads)
+    grid = PairGrid(traj, u, upto)
+    for k, (fn, _) in enumerate(reads):
+        dense = grid.strict_matrix(fn)
+        assert _rel(cells[k].sum(axis=0), dense.sum(axis=0)) < 1e-12
+        assert _rel(np.diagonal(cells[k], 1), np.diagonal(dense, 1)) < 1e-12
+        assert _rel(diag[k], grid.diagonal(fn)) < 1e-12
+        assert np.all(np.tril(cells[k]) == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_estimators_match_dense_pair_grid(dim):
+    sim = iso_model(dim, 1.0)
+    result = simulate_ensemble(sim, InitialMeasureSpec.point((0.0,) * dim),
+                               n=16, horizon=0.5, seed=8, replicates=1,
+                               record="full")
+    traj = result.trajectory(0)
+    upto = len(traj.times) - 1
+    u = np.full(dim, 0.1)
+    kern = MollifiedGreen(GreenFunction(iso_model(dim, 1.6), 1.0, u), 0.2)
+    grid = PairGrid(traj, u, upto)
+    dt = traj.dt
+    rho = 1.0 / 1.6
+
+    gamma = dt * dt * grid.strict_total(
+        lambda r: kern.lambda_minus_l_radial(r, sim_alpha=1.0), upto - 1)
+    assert gamma_epsilon(traj, kern, 1.0, 0.5) == pytest.approx(gamma,
+                                                                rel=1e-12)
+    dp = dt * float(grid.diagonal(kern.radial)[:upto].sum())
+    assert double_point_term(traj, kern, 0.5) == pytest.approx(dp, rel=1e-12)
+
+    dense = _components(grid.strict_matrix(kern.radial),
+                        grid.strict_matrix(kern.lambda_minus_l_radial),
+                        grid.diagonal(kern.radial), 1.0, rho, dt, upto)
+    comp = tanaka_decomposition(traj, kern, 1.0, 0.5)
+    for field in ("gamma", "double_point", "lambda_term", "boundary_term",
+                  "stochastic_term", "renormalized"):
+        assert getattr(comp, field) == pytest.approx(getattr(dense, field),
+                                                     rel=1e-12)
+    assert comp.ito_residual == pytest.approx(dense.ito_residual,
+                                              rel=1e-9, abs=1e-14)
+
+
+def _fixed_population_trajectory(steps, atoms=100):
+    """A frozen cloud of a fixed number of atoms at every time."""
+    rng = np.random.default_rng(steps)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    positions = [rng.normal(size=(atoms, 1)) for _ in times]
+    return RecordedTrajectory(times=times, positions=positions,
+                              weight=1.0 / atoms, n=steps, sub_steps=1,
+                              model=STILL)
+
+
+def test_gamma_memory_grows_at_most_linearly_in_steps():
+    """Peak traced memory of one gamma estimate with a fixed population:
+    a J^2 A^2 radius tensor would grow fourfold when J doubles."""
+    kern = bm1_kernel()
+    peaks = []
+    for steps in (16, 32):
+        traj = _fixed_population_trajectory(steps)
+        tracemalloc.start()
+        try:
+            gamma_epsilon(traj, kern, 1.0, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0]
 
 
 def test_kernel_lambda_mismatch_rejected():
@@ -246,10 +353,9 @@ def test_small_ball_is_one_dimensional_only():
                                n=8, horizon=0.5, seed=1, replicates=1,
                                record="full")
     traj = result.trajectory(0)
-    grid = PairGrid(traj, np.zeros(3), len(traj.times) - 1)
     base = GreenFunction(model3, 1.0)
     with pytest.raises(SiltUsageError, match="one-dimensional"):
-        small_ball_lambda(grid, base, traj.dt, 0.1)
+        small_ball_lambda(traj, base, 0.1)
 
 
 def test_component_csv_round_trip(tmp_path):
