@@ -5,9 +5,9 @@ self-intersection estimators on the simulated paths."""
 from .engine import (AtomicMeasure, EnsembleResult, MartingaleSpec,
                      ObservableSpec, ParticleState, RecordedTrajectory,
                      ReplicaState, SimulationDiverged, advance,
-                     init_population, integrate_test, martingale_path,
-                     measure_at, pair_integrate, quadratic_variation_check,
-                     simulate_ensemble, write_replicate_csv)
+                     init_population, martingale_path, measure_at,
+                     quadratic_variation_check, simulate_ensemble,
+                     write_replicate_csv)
 from .genealogy import (AncestryRecord, Label, Topology, ancestor_at,
                         arrangement_count, classify_topology, mrca)
 from .green import (GreenFunction, GreenUsageError, MollifiedGreen,
@@ -19,10 +19,9 @@ from .model import (CallableFunction, CoefficientModel, ConstantOne,
                     GaussianBump, InitialMeasureSpec, TestFunction,
                     ValidationReport, a_matrix, generator_L, generator_Ln,
                     lambda_form, sigma_matrix, validate_model)
-from .oracle import (GammaExpr, FreezeLeading, MergeBlocks, MomentFormula,
+from .oracle import (FreezeLeading, MergeBlocks, MomentFormula,
                      OracleModelError, diagonal_restrict, dump_terms,
-                     gamma_evaluate, mixed_moment, semigroup_apply,
-                     simplex_integrate)
+                     mixed_moment, simplex_integrate)
 from .silt import (EpsStudy, ResolutionError, SiltComponents,
                    SiltUsageError, double_point_term,
                    epsilon_convergence_study, gamma_epsilon,
@@ -33,9 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure", "EnsembleResult", "MartingaleSpec", "ObservableSpec",
     "ParticleState", "RecordedTrajectory", "ReplicaState",
-    "SimulationDiverged", "advance", "init_population", "integrate_test",
-    "martingale_path", "measure_at", "pair_integrate",
-    "quadratic_variation_check", "simulate_ensemble", "write_replicate_csv",
+    "SimulationDiverged", "advance", "init_population", "martingale_path",
+    "measure_at", "quadratic_variation_check", "simulate_ensemble", "write_replicate_csv",
     "AncestryRecord", "Label", "Topology", "ancestor_at",
     "arrangement_count", "classify_topology", "mrca",
     "GreenFunction", "GreenUsageError", "MollifiedGreen", "mollifier_radial",
@@ -46,9 +44,8 @@ __all__ = [
     "InitialMeasureSpec", "TestFunction", "ValidationReport", "a_matrix",
     "generator_L", "generator_Ln", "lambda_form", "sigma_matrix",
     "validate_model",
-    "GammaExpr", "FreezeLeading", "MergeBlocks", "MomentFormula",
-    "OracleModelError", "diagonal_restrict", "dump_terms", "gamma_evaluate",
-    "mixed_moment", "semigroup_apply", "simplex_integrate",
+    "FreezeLeading", "MergeBlocks", "MomentFormula", "OracleModelError",
+    "diagonal_restrict", "dump_terms", "mixed_moment", "simplex_integrate",
     "EpsStudy", "ResolutionError", "SiltComponents",
     "SiltUsageError", "double_point_term", "epsilon_convergence_study",
     "gamma_epsilon", "tanaka_decomposition",

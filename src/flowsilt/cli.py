@@ -3,7 +3,9 @@
 Every subcommand reads one JSON config (see ``harness.load_config``) and
 honors ``--seed``, ``--out``, ``--threads`` overrides. Thread fallback
 order: the flag, then the FLOWSILT_THREADS environment variable, then
-the config file.
+the config file. The count only splits the replicates into that many
+chunks, which run one after another in this process; no number in the
+output changes with it, and the run is no faster.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="override the output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count (falls back to FLOWSILT_THREADS)")
+                       help="split the replicates into this many chunks, "
+                            "run one after another in this process; no "
+                            "number changes (falls back to "
+                            "FLOWSILT_THREADS)")
     return parser
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,34 +55,6 @@ class AtomicMeasure:
     def atoms(self) -> list[tuple[np.ndarray, float]]:
         return [(self.positions[i], self.weight)
                 for i in range(self.positions.shape[0])]
-
-
-def integrate_test(measure: AtomicMeasure, f: TestFunction) -> float:
-    """Sum of weight * f(position) over the atoms."""
-    if measure.positions.shape[0] == 0:
-        return 0.0
-    return float(measure.weight * f.value_many(measure.positions).sum())
-
-
-def pair_integrate(mu_s: AtomicMeasure, mu_t: AtomicMeasure, f,
-                   u: Optional[np.ndarray] = None) -> float:
-    """Sum over atom pairs of w_a w_b f(x_a - y_b - u).
-
-    f may be a TestFunction or any callable taking an (N, d) array. The
-    product measure convention keeps coincident pairs (x == y) in.
-    """
-    a = mu_s.positions
-    b = mu_t.positions
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return 0.0
-    d = a.shape[1]
-    shift = np.zeros(d) if u is None else np.asarray(u, dtype=float)
-    diffs = (a[:, None, :] - b[None, :, :] - shift).reshape(-1, d)
-    if isinstance(f, TestFunction):
-        vals = f.value_many(diffs)
-    else:
-        vals = np.asarray(f(diffs), dtype=float)
-    return float(mu_s.weight * mu_t.weight * vals.sum())
 
 
 def generator_values(model: CoefficientModel, f: TestFunction,
@@ -376,9 +348,6 @@ class RecordedTrajectory:
                 f"time {t} outside the recorded range [0, {self.times[-1]}]"
             )
         return j
-
-    def mass_series(self) -> np.ndarray:
-        return np.array([p.shape[0] * self.weight for p in self.positions])
 
 
 def measure_at(source, t: float) -> AtomicMeasure:

@@ -155,12 +155,6 @@ class GreenFunction:
             return math.inf
         return _unit_radial(rw, self.dim, self.lam) / det_half
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
-        if self.isotropic:
-            return self.radial(np.linalg.norm(xs - self.u, axis=1))
-        return np.array([self.value(x) for x in xs])
-
     def l1_mass(self, tol: float = 1e-12) -> float:
         """Numeric total integral; equals 1/lambda up to quadrature error."""
         if not self.isotropic:
@@ -326,17 +320,6 @@ class MollifiedGreen:
         outer = ~inner & (rr <= self.support_radius)
         out[outer] = self.far_scale * self._base_radial(rr[outer])
         return np.maximum(out, 0.0).reshape(r_in.shape)
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        return float(self.radial(np.linalg.norm(x - self.u)))
-
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
-        return self.radial(np.linalg.norm(xs - self.u, axis=1))
-
-    def peak(self) -> float:
-        return float(self._profile.max())
 
     # -- integral diagnostics
 

@@ -139,11 +139,17 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         c = _want(model_part, "c", list, source + ":model", required=True)
     if dim < 1:
         raise ConfigError(f"{source}: model.dim must be >= 1")
-    b = tuple(float(x) for x in b)
-    c = tuple(tuple(float(x) for x in row) for row in c)
-    if len(b) != dim or len(c) != dim or any(len(r) != dim for r in c):
+    try:
+        b = tuple(float(x) for x in b)
+        c = tuple(tuple(float(x) for x in row) for row in c)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{source}: model.b must be a list of numbers and "
+                          "model.c a list of rows of numbers") from err
+    flow_dim = len(c[0]) if c else 0
+    if (len(b) != dim or len(c) != dim or flow_dim < 1
+            or any(len(r) != flow_dim for r in c)):
         raise ConfigError(f"{source}: b must have length {dim} and c be "
-                          f"{dim}x{dim}")
+                          f"{dim}xm, rows of one length m >= 1")
 
     init_part = raw.get("initial", [{"position": [0.0] * dim, "mass": 1.0}])
     if not isinstance(init_part, list) or not init_part:
@@ -346,8 +352,10 @@ def suite_moments(cfg: ExperimentConfig) -> list[CheckResult]:
 
     t0 = time.perf_counter()
     one = ConstantOne(cfg.dim)
-    m3 = mixed_moment(model, 3, [one] * 3, [1.0] * 3, point)
-    m4 = mixed_moment(model, 4, [one] * 4, [1.0] * 4, point)
+    # the integrand of every term is constant in the branch times for the
+    # constant function, so a few nodes are exact
+    m3 = mixed_moment(model, 3, [one] * 3, [1.0] * 3, point, nodes=6)
+    m4 = mixed_moment(model, 4, [one] * 4, [1.0] * 4, point, nodes=6)
     golden = _feller_mass_moments(1.0, 1.0)
     ok = abs(m3 - golden[2]) <= 1e-8 and abs(m4 - golden[3]) <= 1e-8
     checks.append(_flag_check(

@@ -124,19 +124,6 @@ def a_matrix(model: CoefficientModel, x: np.ndarray, y: np.ndarray,
     return s
 
 
-@dataclass(frozen=True)
-class DerivedForms:
-    """The two bilinear coefficient fields derived from a model."""
-
-    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    a: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_model(cls, model: CoefficientModel) -> "DerivedForms":
-        return cls(sigma=lambda x, y: sigma_matrix(model, x, y),
-                   a=lambda x, y: a_matrix(model, x, y, same_particle=True))
-
-
 # ---------------------------------------------------------------------------
 # test functions
 

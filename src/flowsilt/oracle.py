@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,58 +73,26 @@ class MergeBlocks:
 
 
 @dataclass(frozen=True)
-class GammaExpr:
-    """ell0, alternating (gap, stage) steps, and the trailing gap."""
+class AnyPair:
+    """A branch stage summed over every pair of the first m diffusing
+    blocks; expands to one MergeBlocks per pair."""
 
-    ell0: int
-    steps: tuple[tuple[float, object], ...]
-    final_gap: float
+    m: int
 
-    @property
-    def ops(self) -> tuple:
-        return tuple(op for _, op in self.steps)
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(g for g, _ in self.steps) + (self.final_gap,)
-
-    @classmethod
-    def from_times(cls, ell0: int, ops: Sequence[object],
-                   times: Sequence[float]) -> "GammaExpr":
-        times = [float(t) for t in times]
-        if len(times) != len(ops) + 1:
-            raise ExpressionError(
-                f"{len(ops)} stages need {len(ops) + 1} times, got {len(times)}"
-            )
-        prev = 0.0
-        gaps = []
-        for t in times:
-            if t < prev - 1e-12:
-                raise ExpressionError("times must be ordered")
-            gaps.append(max(t - prev, 0.0))
-            prev = t
-        steps = tuple((gaps[p], ops[p]) for p in range(len(ops)))
-        return cls(ell0=ell0, steps=steps, final_gap=gaps[-1])
+    def __repr__(self):
+        return f"Phi_ij[{self.m}]"
 
 
 def ledger_superscripts(ell0: int, ops: Sequence[object]) -> list[int]:
     """Diffusing-block counts for each stage boundary, left to right.
 
     Entry p is the count for the gap to the right of the first p stages;
-    entry 0 is ell0 itself.
+    entry 0 is ell0 itself. An observation lowers the count by one, a
+    branch stage (MergeBlocks or AnyPair) raises it.
     """
     sup = [ell0]
-    m = ell0
-    for p, op in enumerate(ops):
-        if isinstance(op, FreezeLeading):
-            m -= 1
-        elif isinstance(op, MergeBlocks):
-            m += 1
-        else:
-            raise ExpressionError(f"unknown stage {op!r} at position {p}")
-        if m < 1:
-            raise ExpressionError(f"ledger drops below one at stage {p}")
-        sup.append(m)
+    for op in ops:
+        sup.append(sup[-1] - 1 if isinstance(op, FreezeLeading) else sup[-1] + 1)
     return sup
 
 
@@ -174,76 +142,36 @@ def evaluate_gamma_batch(kernels: ModelKernels, ell0: int,
                          phi: GaussianFunctional) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push phi through the composition for a batch of gap vectors.
 
-    gaps has shape (B, len(ops) + 1); returns batched (amp, mean, prec)
-    of the finished arity-ell0 function.
+    phi has arity ell0 plus the number of merges and gaps has shape
+    (B, len(ops) + 1); returns batched (amp, mean, prec) of the finished
+    arity-ell0 function. The callers check their inputs; this does not.
     """
     sup = ledger_superscripts(ell0, ops)
     k = len(ops)
-    n_freeze = sum(isinstance(op, FreezeLeading) for op in ops)
-    arity = sup[-1] + n_freeze
-    if phi.arity != arity:
-        raise ExpressionError(
-            f"composition expects input arity {arity}, got {phi.arity}"
-        )
+    arity = ell0 + sum(isinstance(op, MergeBlocks) for op in ops)
     d = phi.dim
     gaps = np.atleast_2d(np.asarray(gaps, dtype=float))
-    if gaps.shape[1] != k + 1:
-        raise ExpressionError(f"need {k + 1} gaps, got {gaps.shape[1]}")
     b = gaps.shape[0]
 
     amp = np.full(b, phi.amplitude)
     mean = np.broadcast_to(phi.mean, (b, arity * d)).copy()
     prec = np.broadcast_to(phi.precision, (b, arity * d, arity * d)).copy()
-    frozen = n_freeze
-    moving = sup[-1]
 
     def _convolve(gap_col, a, m):
         nonlocal amp, mean, prec
         cov = _step_cov(kernels, a, m, gap_col)
         amp, mean, prec = convolve_params(amp, mean, prec, cov)
 
-    _convolve(gaps[:, k], arity, moving)
+    _convolve(gaps[:, k], arity, sup[k])
     for p in range(k - 1, -1, -1):
         op = ops[p]
-        if isinstance(op, FreezeLeading):
-            if frozen == 0:
-                raise ExpressionError(f"nothing to release at stage {p}")
-            frozen -= 1
-            moving += 1
-        else:
-            if op.j > moving:
-                raise ExpressionError(
-                    f"merge ({op.i},{op.j}) exceeds {moving} diffusing blocks "
-                    f"at stage {p}"
-                )
-            gi = frozen + op.i - 1
-            gj = frozen + op.j - 1
-            e = merge_embedding(arity, d, gi, gj)
+        if isinstance(op, MergeBlocks):
+            frozen = arity - sup[p + 1]
+            e = merge_embedding(arity, d, frozen + op.i - 1, frozen + op.j - 1)
             amp, mean, prec = pullback_params(amp, mean, prec, e)
             arity -= 1
-            moving -= 1
-        _convolve(gaps[:, p], arity, moving)
-    if not (frozen == 0 and moving == ell0 == arity):
-        raise ExpressionError("ledger did not close at the leading stage")
+        _convolve(gaps[:, p], arity, sup[p])
     return amp, mean, prec
-
-
-# ---------------------------------------------------------------------------
-# public operator surface
-
-
-def semigroup_apply(model_or_kernels, f, t: float):
-    """Evolve all diffusing blocks for time t (Gaussian convolution)."""
-    kernels = (model_or_kernels if isinstance(model_or_kernels, ModelKernels)
-               else ModelKernels(model_or_kernels))
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if isinstance(f, PartiallyFrozen):
-        return f.semigroup_apply(kernels, t)
-    if t == 0.0:
-        return f
-    cov = t * kernels.joint(f.arity)
-    return f.convolve(cov)
 
 
 def diagonal_restrict(f: GaussianFunctional, i: int, j: int) -> GaussianFunctional:
@@ -254,51 +182,6 @@ def diagonal_restrict(f: GaussianFunctional, i: int, j: int) -> GaussianFunction
     if not (1 <= lo and hi <= f.arity):
         raise ValueError(f"blocks ({i}, {j}) out of range for arity {f.arity}")
     return f.merge_blocks(lo - 1, hi - 1)
-
-
-class PartiallyFrozen:
-    """A functional whose leading blocks no longer diffuse."""
-
-    def __init__(self, functional: GaussianFunctional, frozen: int):
-        if not (1 <= frozen < functional.arity):
-            raise ValueError("frozen count must leave at least one diffusing block")
-        self.functional = functional
-        self.frozen = frozen
-
-    def semigroup_apply(self, model_or_kernels, t: float) -> "PartiallyFrozen":
-        kernels = (model_or_kernels if isinstance(model_or_kernels, ModelKernels)
-                   else ModelKernels(model_or_kernels))
-        if t == 0.0:
-            return self
-        f = self.functional
-        moving = f.arity - self.frozen
-        cov = _step_cov(kernels, f.arity, moving, np.asarray(float(t)))
-        amp, mean, prec = convolve_params(f.amplitude, f.mean, f.precision, cov)
-        out = GaussianFunctional(f.arity, f.dim, float(amp), mean, prec)
-        return PartiallyFrozen(out, self.frozen)
-
-    def project_first(self) -> "PartiallyFrozen":
-        return PartiallyFrozen(self.functional, self.frozen + 1)
-
-
-def project_first(f) -> PartiallyFrozen:
-    """Freeze the leading block; later evolution leaves it untouched."""
-    if isinstance(f, PartiallyFrozen):
-        return f.project_first()
-    if f.arity < 2:
-        raise ValueError("projection needs arity at least two")
-    return PartiallyFrozen(f, 1)
-
-
-def gamma_evaluate(model, expr: GammaExpr, f: GaussianFunctional,
-                   times: Optional[Sequence[float]] = None) -> GaussianFunctional:
-    """Evaluate one composition on a single gap vector."""
-    kernels = model if isinstance(model, ModelKernels) else ModelKernels(model)
-    if times is not None:
-        expr = GammaExpr.from_times(expr.ell0, expr.ops, times)
-    gaps = np.asarray(expr.gaps, dtype=float)[None, :]
-    amp, mean, prec = evaluate_gamma_batch(kernels, expr.ell0, expr.ops, gaps, f)
-    return GaussianFunctional(expr.ell0, f.dim, float(amp[0]), mean[0], prec[0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +245,8 @@ def pair_with_initial(amp: np.ndarray, mean: np.ndarray, prec: np.ndarray,
 # formula templates
 
 
-_F = "F"
+_F = FreezeLeading()
+_M12 = MergeBlocks(1, 2)
 
 
 @dataclass(frozen=True)
@@ -371,33 +255,18 @@ class TermTemplate:
 
     name: str
     ell0: int
-    ops: tuple            # entries: "F", ("sum", m) or ("fixed", 1, 2)
+    ops: tuple            # FreezeLeading, MergeBlocks(1, 2) or AnyPair
     slots: tuple[str, ...]
     svars: tuple[tuple[str, tuple, tuple], ...]  # (name, lo, hi), outer first
 
     def describe(self) -> str:
-        sup = []
-        m = self.ell0
-        sup.append(m)
-        parts = []
-        labels = []
-        for op in self.ops:
-            if op == _F:
-                labels.append("pi_1")
-                m -= 1
-            elif op[0] == "sum":
-                labels.append(f"Phi_ij[{op[1]}]")
-                m += 1
-            else:
-                labels.append(f"Phi_{op[1]}{op[2]}")
-                m += 1
-            sup.append(m)
+        sup = ledger_superscripts(self.ell0, self.ops)
         gap_names = [self.slots[0]] + [
             f"{self.slots[q]}-{self.slots[q - 1]}" for q in range(1, len(self.slots))
         ]
-        parts.append(f"Q^{sup[0]}_{{{gap_names[0]}}}")
-        for p, lab in enumerate(labels):
-            parts.append(lab)
+        parts = [f"Q^{sup[0]}_{{{gap_names[0]}}}"]
+        for p, op in enumerate(self.ops):
+            parts.append(repr(op))
             parts.append(f"Q^{sup[p + 1]}_{{{gap_names[p + 1]}}}")
         dom = " ".join(
             f"{nm} in ({_token_str(lo)},{_token_str(hi)})" for nm, lo, hi in self.svars
@@ -432,74 +301,73 @@ def build_templates(order: int) -> list[TermTemplate]:
     if order == 2:
         return [
             TermTemplate("2.1", 2, (_F,), ("t1", "t2"), ()),
-            TermTemplate("2.2", 1, (("fixed", 1, 2), _F), ("s1", "t1", "t2"),
+            TermTemplate("2.2", 1, (_M12, _F), ("s1", "t1", "t2"),
                          (("s1", _Z, _t(0)),)),
         ]
     if order == 3:
         return [
             TermTemplate("3.1", 3, (_F, _F), ("t1", "t2", "t3"), ()),
-            TermTemplate("3.2", 2, (("sum", 3), _F, _F), ("s1", "t1", "t2", "t3"),
+            TermTemplate("3.2", 2, (AnyPair(3), _F, _F), ("s1", "t1", "t2", "t3"),
                          (("s1", _Z, _t(0)),)),
-            TermTemplate("3.3", 1, (("fixed", 1, 2), ("sum", 3), _F, _F),
+            TermTemplate("3.3", 1, (_M12, AnyPair(3), _F, _F),
                          ("s1", "s2", "t1", "t2", "t3"),
                          (("s2", _Z, _t(0)), ("s1", _Z, _s("s2")))),
-            TermTemplate("3.4", 2, (_F, ("fixed", 1, 2), _F),
+            TermTemplate("3.4", 2, (_F, _M12, _F),
                          ("t1", "s1", "t2", "t3"),
                          (("s1", _t(0), _t(1)),)),
-            TermTemplate("3.5", 1, (("fixed", 1, 2), _F, ("fixed", 1, 2), _F),
+            TermTemplate("3.5", 1, (_M12, _F, _M12, _F),
                          ("s1", "t1", "s2", "t2", "t3"),
                          (("s2", _t(0), _t(1)), ("s1", _Z, _t(0)))),
         ]
     if order == 4:
         return [
             TermTemplate("4.1", 4, (_F, _F, _F), ("t1", "t2", "t3", "t4"), ()),
-            TermTemplate("4.2", 3, (("sum", 4), _F, _F, _F),
+            TermTemplate("4.2", 3, (AnyPair(4), _F, _F, _F),
                          ("s1", "t1", "t2", "t3", "t4"),
                          (("s1", _Z, _t(0)),)),
-            TermTemplate("4.3", 3, (_F, ("sum", 3), _F, _F),
+            TermTemplate("4.3", 3, (_F, AnyPair(3), _F, _F),
                          ("t1", "s1", "t2", "t3", "t4"),
                          (("s1", _t(0), _t(1)),)),
-            TermTemplate("4.4", 3, (_F, _F, ("fixed", 1, 2), _F),
+            TermTemplate("4.4", 3, (_F, _F, _M12, _F),
                          ("t1", "t2", "s1", "t3", "t4"),
                          (("s1", _t(1), _t(2)),)),
-            TermTemplate("4.5", 2, (("sum", 3), ("sum", 4), _F, _F, _F),
+            TermTemplate("4.5", 2, (AnyPair(3), AnyPair(4), _F, _F, _F),
                          ("s1", "s2", "t1", "t2", "t3", "t4"),
                          (("s2", _Z, _t(0)), ("s1", _Z, _s("s2")))),
-            TermTemplate("4.6", 2, (("sum", 3), _F, ("sum", 3), _F, _F),
+            TermTemplate("4.6", 2, (AnyPair(3), _F, AnyPair(3), _F, _F),
                          ("s1", "t1", "s2", "t2", "t3", "t4"),
                          (("s2", _t(0), _t(1)), ("s1", _Z, _t(0)))),
-            TermTemplate("4.7", 2, (_F, ("fixed", 1, 2), ("sum", 3), _F, _F),
+            TermTemplate("4.7", 2, (_F, _M12, AnyPair(3), _F, _F),
                          ("t1", "s1", "s2", "t2", "t3", "t4"),
                          (("s2", _t(0), _t(1)), ("s1", _t(0), _s("s2")))),
-            TermTemplate("4.8", 2, (("sum", 3), _F, _F, ("fixed", 1, 2), _F),
+            TermTemplate("4.8", 2, (AnyPair(3), _F, _F, _M12, _F),
                          ("s1", "t1", "t2", "s2", "t3", "t4"),
                          (("s2", _t(1), _t(2)), ("s1", _Z, _t(0)))),
-            TermTemplate("4.9", 2, (_F, ("fixed", 1, 2), _F, ("fixed", 1, 2), _F),
+            TermTemplate("4.9", 2, (_F, _M12, _F, _M12, _F),
                          ("t1", "s1", "t2", "s2", "t3", "t4"),
                          (("s2", _t(1), _t(2)), ("s1", _t(0), _t(1)))),
             TermTemplate("4.10", 1,
-                         (("fixed", 1, 2), ("sum", 3), ("sum", 4), _F, _F, _F),
+                         (_M12, AnyPair(3), AnyPair(4), _F, _F, _F),
                          ("s1", "s2", "s3", "t1", "t2", "t3", "t4"),
                          (("s3", _Z, _t(0)), ("s2", _Z, _s("s3")),
                           ("s1", _Z, _s("s2")))),
             TermTemplate("4.11", 1,
-                         (("fixed", 1, 2), ("sum", 3), _F, ("sum", 3), _F, _F),
+                         (_M12, AnyPair(3), _F, AnyPair(3), _F, _F),
                          ("s1", "s2", "t1", "s3", "t2", "t3", "t4"),
                          (("s3", _t(0), _t(1)), ("s2", _Z, _t(0)),
                           ("s1", _Z, _s("s2")))),
             TermTemplate("4.12", 1,
-                         (("fixed", 1, 2), _F, ("fixed", 1, 2), ("sum", 3), _F, _F),
+                         (_M12, _F, _M12, AnyPair(3), _F, _F),
                          ("s1", "t1", "s2", "s3", "t2", "t3", "t4"),
                          (("s3", _t(0), _t(1)), ("s2", _t(0), _s("s3")),
                           ("s1", _Z, _t(0)))),
             TermTemplate("4.13", 1,
-                         (("fixed", 1, 2), ("sum", 3), _F, _F, ("fixed", 1, 2), _F),
+                         (_M12, AnyPair(3), _F, _F, _M12, _F),
                          ("s1", "s2", "t1", "t2", "s3", "t3", "t4"),
                          (("s3", _t(1), _t(2)), ("s2", _Z, _t(0)),
                           ("s1", _Z, _s("s2")))),
             TermTemplate("4.14", 1,
-                         (("fixed", 1, 2), _F, ("fixed", 1, 2), _F,
-                          ("fixed", 1, 2), _F),
+                         (_M12, _F, _M12, _F, _M12, _F),
                          ("s1", "t1", "s2", "t2", "s3", "t3", "t4"),
                          (("s3", _t(1), _t(2)), ("s2", _t(0), _t(1)),
                           ("s1", _Z, _t(0)))),
@@ -507,32 +375,26 @@ def build_templates(order: int) -> list[TermTemplate]:
     raise ValueError(f"moment order {order} not supported (1..4)")
 
 
-def _check_ledger(template: TermTemplate) -> None:
-    """Template self-consistency: merge ranges must match the ledger."""
-    m = template.ell0
-    for op in template.ops:
-        if op == _F:
-            m -= 1
-        else:
-            m += 1
-            expected = m
-            if op[0] == "sum" and op[1] != expected:
-                raise ExpressionError(
-                    f"{template.name}: pair range {op[1]} != ledger {expected}"
-                )
-            if op[0] == "fixed" and expected != 2:
-                raise ExpressionError(
-                    f"{template.name}: fixed merge at diffusing count {expected}"
-                )
-        if m < 1:
-            raise ExpressionError(f"{template.name}: ledger below one")
-    if m != 1:
-        raise ExpressionError(f"{template.name}: ledger ends at {m}, expected 1")
+def _check_template(template: TermTemplate) -> None:
+    """Template self-consistency: a pair sum ranges over every diffusing
+    block, a fixed merge acts on exactly two, and the ledger stays at one
+    or above and ends at one."""
+    sup = ledger_superscripts(template.ell0, template.ops)
+    for op, m in zip(template.ops, sup[1:]):
+        if isinstance(op, AnyPair) and op.m != m:
+            raise ExpressionError(
+                f"{template.name}: pair range {op.m} != ledger {m}")
+        if isinstance(op, MergeBlocks) and m != 2:
+            raise ExpressionError(
+                f"{template.name}: fixed merge at diffusing count {m}")
+    if min(sup) < 1 or sup[-1] != 1:
+        raise ExpressionError(f"{template.name}: ledger {sup} must stay at "
+                              "one or above and end at one")
 
 
 for _order in (1, 2, 3, 4):
     for _tpl in build_templates(_order):
-        _check_ledger(_tpl)
+        _check_template(_tpl)
 
 
 @dataclass(frozen=True)
@@ -616,16 +478,9 @@ def _term_value(kernels: ModelKernels, template: TermTemplate,
 
 def _expand_ops(ops: tuple) -> list[tuple]:
     """All concrete stage lists of a template (branch-pair choices)."""
-    choices: list[list[object]] = []
-    for op in ops:
-        if op == _F:
-            choices.append([FreezeLeading()])
-        elif op[0] == "fixed":
-            choices.append([MergeBlocks(op[1], op[2])])
-        else:
-            m = op[1]
-            choices.append([MergeBlocks(i, j)
-                            for i in range(1, m + 1) for j in range(i + 1, m + 1)])
+    choices = [[MergeBlocks(i, j) for i in range(1, op.m + 1)
+                for j in range(i + 1, op.m + 1)]
+               if isinstance(op, AnyPair) else [op] for op in ops]
     return [tuple(combo) for combo in itertools.product(*choices)]
 
 
@@ -643,10 +498,10 @@ def _as_functional(f: TestFunction, dim: int) -> GaussianFunctional:
     )
 
 
-def mixed_moment(model, order: int, test_functions: Sequence[TestFunction],
-                 times: Sequence[float], mu0: InitialMeasureSpec,
-                 nodes: int = DEFAULT_NODES) -> float:
-    """E prod_p <f_p, mu_{t_p}> for a constant model, orders one to four."""
+def _prepare(model, order: int, test_functions: Sequence[TestFunction],
+             times: Sequence[float], mu0: InitialMeasureSpec):
+    """The input checks shared by mixed_moment and dump_terms; returns the
+    kernels, the sorted times and the product test functional."""
     if order not in (1, 2, 3, 4):
         raise ValueError(f"moment order {order} not supported (1..4)")
     if len(test_functions) != order or len(times) != order:
@@ -659,6 +514,14 @@ def mixed_moment(model, order: int, test_functions: Sequence[TestFunction],
     fs = [_as_functional(test_functions[orig], kernels.dim) for _, orig in pairs]
     phi = GaussianFunctional.product(fs)
     mu0.validate()
+    return kernels, ts, phi
+
+
+def mixed_moment(model, order: int, test_functions: Sequence[TestFunction],
+                 times: Sequence[float], mu0: InitialMeasureSpec,
+                 nodes: int = DEFAULT_NODES) -> float:
+    """E prod_p <f_p, mu_{t_p}> for a constant model, orders one to four."""
+    kernels, ts, phi = _prepare(model, order, test_functions, times, mu0)
     total = 0.0
     for template in build_templates(order):
         total += _term_value(kernels, template, phi, ts, mu0, nodes)
@@ -669,16 +532,10 @@ def dump_terms(model, order: int, test_functions: Sequence[TestFunction],
                times: Sequence[float], mu0: InitialMeasureSpec,
                nodes: int = DEFAULT_NODES) -> list[tuple[str, float]]:
     """Per-term description and value; the debug view used by golden tests."""
-    kernels = model if isinstance(model, ModelKernels) else ModelKernels(model)
-    pairs = sorted(zip([float(t) for t in times], range(order)))
-    ts = np.array([t for t, _ in pairs])
-    fs = [_as_functional(test_functions[orig], kernels.dim) for _, orig in pairs]
-    phi = GaussianFunctional.product(fs)
-    out = []
-    for template in build_templates(order):
-        val = _term_value(kernels, template, phi, ts, mu0, nodes)
-        out.append((template.describe(), val))
-    return out
+    kernels, ts, phi = _prepare(model, order, test_functions, times, mu0)
+    return [(template.describe(),
+             _term_value(kernels, template, phi, ts, mu0, nodes))
+            for template in build_templates(order)]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .engine import (EnsembleResult, RecordedTrajectory, simulate_ensemble)
-from .green import GreenFunction, GreenUsageError, MollifiedGreen
+from .green import GreenFunction, MollifiedGreen
 from .model import CoefficientModel, InitialMeasureSpec, a_matrix
 
 
@@ -389,9 +389,6 @@ class EpsStudy:
     small_ball: Optional[np.ndarray] = None   # (R,)
     lam: float = 0.0
     u: Optional[np.ndarray] = None
-
-    def distance_rows(self) -> list[tuple[float, float, float, float]]:
-        return list(self.distances)
 
     def extrapolated_limit(self) -> np.ndarray:
         """Per-replicate renormalized value extrapolated to zero smoothing.

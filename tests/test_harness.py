@@ -127,6 +127,9 @@ def mutate(path: str, value) -> dict:
     (mutate("silt.eps", [0.2, 0.4]), "eps schedule must be strictly"),
     (mutate("suites", "mass"), "'suites' must be a list"),
     (mutate("suites", ["banana"]), "unknown suite 'banana'"),
+    (mutate("model", {"dim": 1, "b": [1.0], "c": [[]]}), r"c be 1xm"),
+    (mutate("model", {"dim": 1, "b": [1.0], "c": [1.0]}),
+     "model.c a list of rows of numbers"),
 ])
 def test_config_rejections(raw: dict, message: str) -> None:
     with pytest.raises(ConfigError, match=message):
@@ -146,6 +149,21 @@ def test_config_hash_tracks_content_not_provenance() -> None:
     rerouted = base_dict()
     rerouted["out"] = "elsewhere"
     assert config_from_dict(rerouted).config_hash() == a.config_hash()
+
+
+def test_flow_dimension_may_differ_from_space_dimension() -> None:
+    """c is dim x m for any m >= 1; square configs keep their hashes."""
+    raw = mutate("model", {"dim": 1, "b": [1.0], "c": [[1.0, 0.5]]})
+    cfg = config_from_dict(raw)
+    assert cfg.model().flow_dim == 2
+    assert cfg.model().dim == 1
+
+    assert config_from_dict(base_dict()).config_hash() == "b08a5b7b1508ff18"
+    square = base_dict()
+    square["model"] = {"dim": 2, "b": [1.0, 0.5],
+                       "c": [[1.0, 0.0], [0.2, 1.0]]}
+    square["initial"] = [{"position": [0.0, 0.0], "mass": 1.0}]
+    assert config_from_dict(square).config_hash() == "319f1f2b7405c885"
 
 
 def test_load_config_round_trip(tmp_path: Path) -> None:
@@ -293,6 +311,17 @@ def test_cli_non_integer_threads_in_config_exits_2(tmp_path: Path,
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "key 'threads' should be" in err
+
+
+def test_cli_ragged_flow_coefficient_exits_2(tmp_path: Path, capsys) -> None:
+    raw = mutate("model", {"dim": 2, "b": [1.0, 1.0],
+                           "c": [[1.0, 0.5], [1.0]]})
+    raw["initial"] = [{"position": [0.0, 0.0], "mass": 1.0}]
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "rows of one length" in err
 
 
 def test_cli_simulate_writes_replicates(tmp_path: Path, capsys) -> None:

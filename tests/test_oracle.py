@@ -141,6 +141,21 @@ def test_argument_validation():
         mixed_moment(BM1D, 1, [BUMP], [-0.5], DELTA0)
 
 
+@pytest.mark.parametrize("order, fns, times, mu0, message", [
+    (5, [BUMP] * 5, [1.0] * 5, DELTA0, "order"),
+    (2, [BUMP] * 2, [-0.5, 1.0], DELTA0, "nonnegative"),
+    (2, [BUMP] * 3, [0.5, 1.0, 1.0], DELTA0, "per factor"),
+    (2, [BUMP] * 2, [1.0], DELTA0, "per factor"),
+    (1, [BUMP], [1.0], InitialMeasureSpec.point([0.0], mass=-1.0),
+     "mass must be positive"),
+])
+@pytest.mark.parametrize("entry", [mixed_moment, dump_terms])
+def test_moment_entries_share_input_checks(entry, order, fns, times, mu0,
+                                           message):
+    with pytest.raises(ValueError, match=message):
+        entry(BM1D, order, fns, times, mu0)
+
+
 def test_oracle_rejects_state_dependent_models():
     varying = CoefficientModel.from_callables(
         1, 1, b=lambda x: 1.0 + 0.1 * np.tanh(x), c=lambda x: np.ones((1, 1)))
