@@ -3,13 +3,11 @@ branching diffusions driven by a shared flow noise, plus renormalized
 self-intersection estimators on the simulated paths."""
 
 from .engine import (AtomicMeasure, EnsembleResult, MartingaleSpec,
-                     ObservableSpec, ParticleState, RecordedTrajectory,
-                     ReplicaState, SimulationDiverged, advance,
-                     init_population, martingale_path, measure_at,
-                     quadratic_variation_check, simulate_ensemble,
-                     write_replicate_csv)
-from .genealogy import (AncestryRecord, Label, Topology, ancestor_at,
-                        arrangement_count, classify_topology, mrca)
+                     ObservableSpec, RecordedTrajectory, SimulationDiverged,
+                     martingale_path, quadratic_variation_check,
+                     simulate_ensemble, write_replicate_csv)
+from .genealogy import (Label, Topology, ancestor_at, arrangement_count,
+                        classify_topology, mrca)
 from .green import (GreenFunction, GreenUsageError, MollifiedGreen,
                     mollifier_radial, mollify_green, resolvent_green)
 from .harness import (CheckResult, ConfigError, ExperimentConfig, StatReport,
@@ -31,10 +29,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMeasure", "EnsembleResult", "MartingaleSpec", "ObservableSpec",
-    "ParticleState", "RecordedTrajectory", "ReplicaState",
-    "SimulationDiverged", "advance", "init_population", "martingale_path",
-    "measure_at", "quadratic_variation_check", "simulate_ensemble", "write_replicate_csv",
-    "AncestryRecord", "Label", "Topology", "ancestor_at",
+    "RecordedTrajectory", "SimulationDiverged", "martingale_path",
+    "quadratic_variation_check", "simulate_ensemble", "write_replicate_csv",
+    "Label", "Topology", "ancestor_at",
     "arrangement_count", "classify_topology", "mrca",
     "GreenFunction", "GreenUsageError", "MollifiedGreen", "mollifier_radial",
     "mollify_green", "resolvent_green",

@@ -18,8 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (CheckResult, ConfigError, ExperimentConfig,
-                      load_config, run_experiment, run_silt, run_simulation,
-                      suite_eps_study, suite_moments)
+                      load_config, require_inputs, run_experiment, run_silt,
+                      run_simulation, suite_eps_study, suite_moments)
 from .model import validate_model
 
 
@@ -98,6 +98,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)
+        # report checks its suites in run_experiment
+        require_inputs(cfg, (args.command,))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

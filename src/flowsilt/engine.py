@@ -6,10 +6,13 @@ per-particle noise and one noise shared across the whole replicate (the
 flow). At every grid time each particle independently either dies or splits
 into two children that inherit its position.
 
-The hot loop is batched across replicates: one position array, one key
-array, and a replicate-id column. Every random draw is a pure function of
-(seed, replicate, lineage, purpose, counter), so results do not depend on
-how replicates are partitioned across workers.
+``simulate_ensemble`` is the one driver: every suite and estimator gets its
+particles from it, and a single replicate is an ensemble of one
+(``replicates=1, replicate_offset=r``). The hot loop is batched across
+replicates: one position array, one key array, and a replicate-id column.
+Every random draw is a pure function of (seed, replicate, lineage, purpose,
+counter), so results do not depend on how replicates are partitioned into
+chunks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .genealogy import AncestryRecord, Label
 from .model import (CoefficientModel, ConstantOne, GaussianBump,
                     InitialMeasureSpec, TestFunction, a_matrix, generator_L)
 
@@ -47,14 +49,6 @@ class AtomicMeasure:
     weight: float
     time: float
 
-    @property
-    def mass(self) -> float:
-        return self.positions.shape[0] * self.weight
-
-    @property
-    def atoms(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.positions[i], self.weight)
-                for i in range(self.positions.shape[0])]
 
 
 def generator_values(model: CoefficientModel, f: TestFunction,
@@ -96,40 +90,12 @@ def _flow_gradient_sums(model: CoefficientModel, f: TestFunction,
 # batched population core
 
 
-@dataclass
-class _Tracker:
-    """Labels and lifetimes for every particle of one replicate."""
-
-    labels: list[Label]
-    birth: list[int]
-    records: list[AncestryRecord] = field(default_factory=list)
-
-    def on_branch(self, split_mask: np.ndarray, step: int) -> None:
-        new_labels: list[Label] = []
-        new_birth: list[int] = []
-        for i, lab in enumerate(self.labels):
-            parent = Label(lab.root, lab.bits[:-1]) if lab.bits else None
-            self.records.append(AncestryRecord(lab, parent, self.birth[i], step))
-            if split_mask[i]:
-                new_labels.extend((lab.child(0), lab.child(1)))
-                new_birth.extend((step, step))
-        self.labels = new_labels
-        self.birth = new_birth
-
-    def final_records(self) -> list[AncestryRecord]:
-        out = list(self.records)
-        for lab, b in zip(self.labels, self.birth):
-            parent = Label(lab.root, lab.bits[:-1]) if lab.bits else None
-            out.append(AncestryRecord(lab, parent, b, None))
-        return out
-
-
 class Population:
     """Positions, keys, and replicate ids of all alive particles."""
 
     def __init__(self, model: CoefficientModel, initial: InitialMeasureSpec,
                  n: int, seed: int, replicates: int, sub_steps: int,
-                 replicate_offset: int = 0, track_ancestry: bool = False):
+                 replicate_offset: int = 0):
         if n < 1:
             raise EngineUsageError("n must be at least 1")
         if sub_steps < 1:
@@ -170,12 +136,6 @@ class Population:
         self.keys = rng.fold_keys(np.repeat(rep_keys, m_count), roots)
         self._motion_keys = rng.tag_keys(self.keys, rng.MOTION_TAG)
 
-        self.trackers: Optional[list[_Tracker]] = None
-        if track_ancestry:
-            self.trackers = []
-            for _ in range(self.R):
-                labels = [Label(i + 1) for i in range(m_count)]
-                self.trackers.append(_Tracker(labels, [0] * m_count))
 
     # -- initial placement
 
@@ -272,10 +232,6 @@ class Population:
             n_split = int(split.sum())
             self.split_count += n_split
             self.death_count += self.alive_count - n_split
-            if self.trackers is not None:
-                for r in range(self.R):
-                    sel = self.rep == r
-                    self.trackers[r].on_branch(split[sel], event)
             c0, c1 = rng.split_keys(self.keys[split])
             new_keys = np.empty(2 * n_split, dtype=np.uint64)
             new_keys[0::2] = c0
@@ -294,14 +250,6 @@ class Population:
             self.do_branch()
 
     # -- views
-
-    def measure_now(self, rep: Optional[int] = None) -> AtomicMeasure:
-        if self.R == 1 and rep is None:
-            rep = 0
-        if rep is None:
-            raise EngineUsageError("specify a replicate for an ensemble view")
-        sel = self.rep == rep
-        return AtomicMeasure(self.pos[sel].copy(), 1.0 / self.n, self.time)
 
     def mass_per_replicate(self) -> np.ndarray:
         return np.bincount(self.rep, minlength=self.R) / self.n
@@ -350,15 +298,6 @@ class RecordedTrajectory:
         return j
 
 
-def measure_at(source, t: float) -> AtomicMeasure:
-    """Empirical measure at time t, snapped to the sub-step grid."""
-    if isinstance(source, RecordedTrajectory):
-        return source.measure_at(t)
-    if isinstance(source, ReplicaState):
-        return source.measure_at(t)
-    raise EngineUsageError(f"cannot take measures from {type(source).__name__}")
-
-
 def martingale_path(trajectory: RecordedTrajectory, f: TestFunction) -> np.ndarray:
     """Z_t(f) on the recorded grid, with a left-endpoint time integral."""
     model = trajectory.model
@@ -374,38 +313,14 @@ def martingale_path(trajectory: RecordedTrajectory, f: TestFunction) -> np.ndarr
     return z
 
 
-def quadratic_variation_check(source, f: TestFunction) -> tuple[float, float]:
-    """(empirical E Z_T^2, predicted bracket mean) for one test function.
-
-    Accepts an EnsembleResult with f registered as a martingale observable,
-    or a plain sequence of RecordedTrajectory.
-    """
-    if isinstance(source, EnsembleResult):
-        acc = source.martingales.get(_mart_name(source, f))
-        if acc is None:
-            raise EngineUsageError("test function was not registered")
-        return float(np.mean(acc.z_final ** 2)), float(np.mean(acc.bracket))
-    emp = []
-    pred = []
-    for traj in source:
-        z = martingale_path(traj, f)
-        emp.append(z[-1] ** 2)
-        model = traj.model
-        w = traj.weight
-        dt = traj.dt
-        acc = 0.0
-        for p in traj.positions[:-1]:
-            if p.shape[0] == 0:
-                continue
-            f2 = w * (f.value_many(p) ** 2).sum()
-            grads = f.grad_many(p)
-            if model.is_constant:
-                s = (grads @ model.c_mat).sum(axis=0) * w
-            else:
-                s = sum(model.c_at(x).T @ g for x, g in zip(p, grads)) * w
-            acc += dt * (f2 + float(s @ s))
-        pred.append(acc)
-    return float(np.mean(emp)), float(np.mean(pred))
+def quadratic_variation_check(result: "EnsembleResult",
+                              f: TestFunction) -> tuple[float, float]:
+    """(empirical E Z_T^2, predicted bracket mean) for a test function
+    registered as a martingale observable of the run."""
+    acc = result.martingales.get(_mart_name(result, f))
+    if acc is None:
+        raise EngineUsageError("test function was not registered")
+    return float(np.mean(acc.z_final ** 2)), float(np.mean(acc.bracket))
 
 
 def _mart_name(result: "EnsembleResult", f: TestFunction) -> str:
@@ -413,127 +328,6 @@ def _mart_name(result: "EnsembleResult", f: TestFunction) -> str:
         if ff is f:
             return name
     return ""
-
-
-# ---------------------------------------------------------------------------
-# single-replicate facade (the contract surface)
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    label: Label
-    position: np.ndarray
-    alive: bool
-    birth_step: int
-
-
-class ReplicaState:
-    """One replicate with label tracking and sub-step recording."""
-
-    def __init__(self, model: CoefficientModel, initial: InitialMeasureSpec,
-                 n: int, seed: int, replicate: int = 0, sub_steps: int = 4,
-                 record: bool = True, track_ancestry: bool = True):
-        self._pop = Population(model, initial, n, seed, 1, sub_steps,
-                               replicate_offset=replicate,
-                               track_ancestry=track_ancestry)
-        self.record = record
-        self._times = [0.0]
-        self._snaps = [self._pop.pos.copy()] if record else []
-
-    @property
-    def model(self) -> CoefficientModel:
-        return self._pop.model
-
-    @property
-    def n(self) -> int:
-        return self._pop.n
-
-    @property
-    def step(self) -> int:
-        return self._pop.step
-
-    @property
-    def time(self) -> float:
-        return self._pop.time
-
-    @property
-    def sub_steps(self) -> int:
-        return self._pop.sub_steps
-
-    @property
-    def particles(self) -> tuple[ParticleState, ...]:
-        pop = self._pop
-        if pop.trackers is None:
-            raise EngineUsageError("ancestry tracking is off for this replica")
-        tr = pop.trackers[0]
-        return tuple(ParticleState(lab, pop.pos[i].copy(), True, tr.birth[i])
-                     for i, lab in enumerate(tr.labels))
-
-    @property
-    def ancestry(self) -> list[AncestryRecord]:
-        if self._pop.trackers is None:
-            raise EngineUsageError("ancestry tracking is off for this replica")
-        return self._pop.trackers[0].final_records()
-
-    @property
-    def mass(self) -> float:
-        return self._pop.alive_count / self._pop.n
-
-    def advance(self, dt_sub: float) -> "ReplicaState":
-        pop = self._pop
-        if abs(dt_sub - pop.dt) > 1e-12 * max(1.0, pop.dt):
-            raise EngineUsageError(
-                f"dt_sub must be 1/(n*sub_steps) = {pop.dt}, got {dt_sub}"
-            )
-        pop.advance_substep()
-        if self.record:
-            self._times.append(pop.time)
-            self._snaps.append(pop.pos.copy())
-        return self
-
-    def run(self, horizon: float) -> "ReplicaState":
-        total = int(round(horizon * self._pop.n)) * self._pop.sub_steps
-        while self._pop.substep < total:
-            self.advance(self._pop.dt)
-        return self
-
-    def trajectory(self) -> RecordedTrajectory:
-        if not self.record:
-            raise EngineUsageError("recording is off for this replica")
-        return RecordedTrajectory(np.array(self._times), list(self._snaps),
-                                  1.0 / self._pop.n, self._pop.n,
-                                  self._pop.sub_steps, self._pop.model)
-
-    def measure_at(self, t: float) -> AtomicMeasure:
-        if self.record:
-            return self.trajectory().measure_at(t)
-        if abs(t - self.time) > 1e-9:
-            raise EngineUsageError("only the current time is available "
-                                   "without recording")
-        return self._pop.measure_now(0)
-
-
-def init_population(spec: InitialMeasureSpec, n: int, seed: int,
-                    model: Optional[CoefficientModel] = None,
-                    sub_steps: int = 4, replicate: int = 0,
-                    record: bool = True, track_ancestry: bool = True) -> ReplicaState:
-    """Place round(n * mass) particles and wrap them as one replicate.
-
-    Atom masses get floor(n * mass) particles each, remainders resolved by
-    largest fractional part; densities are sampled i.i.d. The model is
-    needed as soon as the replica moves; it defaults to standing still.
-    """
-    if model is None:
-        model = CoefficientModel.constant(np.zeros(spec.dim),
-                                          np.zeros((spec.dim, spec.dim)))
-    return ReplicaState(model, spec, n, seed, replicate=replicate,
-                        sub_steps=sub_steps, record=record,
-                        track_ancestry=track_ancestry)
-
-
-def advance(replica: ReplicaState, dt_sub: float) -> ReplicaState:
-    """One sub-step; branches automatically when a grid time is reached."""
-    return replica.advance(dt_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +382,6 @@ class EnsembleResult:
     martingales: dict = field(default_factory=dict)  # name -> MartingaleAccum
     martingale_functions: dict = field(default_factory=dict)
     snapshots: Optional[list[Snapshot]] = None
-    ancestries: Optional[list[list[AncestryRecord]]] = None
     _model: Optional[CoefficientModel] = None
 
     def trajectory(self, rep: int) -> RecordedTrajectory:
@@ -638,8 +431,6 @@ def _merge_results(parts: list[EnsembleResult]) -> EnsembleResult:
             np.cumsum(counts, out=offs[1:])
             merged.append(Snapshot(head.snapshots[j].time, pos, offs))
         out.snapshots = merged
-    if head.ancestries is not None:
-        out.ancestries = [a for p in parts for a in p.ancestries]
     return out
 
 
@@ -649,14 +440,16 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
                       observables: Sequence[ObservableSpec] = (),
                       martingales: Sequence[MartingaleSpec] = (),
                       record: str = "mass",
-                      track_ancestry: bool = False,
                       replicate_offset: int = 0,
                       workers: int = 1) -> EnsembleResult:
     """Run independent replicates batched in one population.
 
     record: "none" (final state only), "mass" (per-sub-step mass path),
     or "full" (positions at every sub-step, for path functionals).
-    Partitioning across workers never changes any number.
+    Replicate k draws from the streams of replicate replicate_offset + k,
+    so one replicate of a larger run can be replayed alone. workers > 1
+    splits the replicates into that many chunks, runs them one after
+    another in this process and merges the results; no number changes.
     """
     if record not in ("none", "mass", "full"):
         raise EngineUsageError(f"unknown record mode {record!r}")
@@ -669,7 +462,7 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
             size = min(chunk, replicates - lo)
             parts.append(simulate_ensemble(
                 model, initial, n, horizon, seed, size, sub_steps,
-                observables, martingales, record, track_ancestry,
+                observables, martingales, record,
                 replicate_offset + lo, workers=1))
         return _merge_results(parts)
 
@@ -677,7 +470,7 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
     if len(set(names)) != len(names):
         raise EngineUsageError("observable names must be unique")
     pop = Population(model, initial, n, seed, replicates, sub_steps,
-                     replicate_offset, track_ancestry)
+                     replicate_offset)
     grid_steps = int(round(horizon * n))
     total_sub = grid_steps * sub_steps
     r_count = pop.R
@@ -735,8 +528,6 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
         observables=obs_values, martingales=mart,
         martingale_functions={m.name: m.f for m in martingales},
         snapshots=snaps,
-        ancestries=([tr.final_records() for tr in pop.trackers]
-                    if pop.trackers is not None else None),
         _model=model,
     )
     return result
@@ -773,8 +564,7 @@ def _accumulate_martingales(pop: Population, martingales, mart, w) -> None:
 # CSV output
 
 
-def write_replicate_csv(path, result: EnsembleResult,
-                        stride: int = 1) -> None:
+def write_replicate_csv(path, result: EnsembleResult) -> None:
     """Per-replicate summary rows: replicate, t, mass, then one column per
     observable whose recorded times match the mass grid."""
     if result.mass_path is None:
@@ -788,7 +578,7 @@ def write_replicate_csv(path, result: EnsembleResult,
         header = ["replicate", "t", "mass"] + [name for name, _ in cols]
         fh.write(",".join(header) + "\n")
         for r in range(result.replicates):
-            for j in range(0, len(times), stride):
+            for j in range(len(times)):
                 row = [str(r), f"{times[j]:.12g}",
                        f"{result.mass_path[j, r]:.17g}"]
                 row += [f"{vals[r, j]:.17g}" for _, vals in cols]

@@ -15,7 +15,7 @@ Quadruples of labels alive at a common generation fall into six shapes:
     CATERPILLAR     one root; splits peel off one particle at a time
 
 Triples fall into three shapes by the same logic. Classification reads
-only label prefixes, so it works on stored dumps without ancestry tables.
+only label prefixes, never particle lifetimes.
 """
 
 from __future__ import annotations
@@ -74,20 +74,6 @@ class Label:
 
     def __repr__(self):
         return f"({self.root};{','.join(str(b) for b in self.bits)})"
-
-
-@dataclass(frozen=True)
-class AncestryRecord:
-    """Birth/death bookkeeping for one particle, in grid steps."""
-
-    label: Label
-    parent: Optional[Label]
-    birth_step: int
-    death_step: Optional[int] = None  # None while alive
-
-    def __post_init__(self):
-        if self.death_step is not None and self.death_step <= self.birth_step:
-            raise ValueError("death step must exceed birth step")
 
 
 def ancestor_at(label: Label, generation: int) -> Label:

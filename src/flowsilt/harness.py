@@ -28,8 +28,9 @@ from .model import (CoefficientModel, ConstantOne, GaussianBump,
                     InitialMeasureSpec, validate_model)
 from .oracle import MomentFormula, mixed_moment
 from .rng import derive_key, uniforms
-from .silt import (decomposition_ensemble, epsilon_convergence_study,
-                   write_components_csv, write_study_csv)
+from .silt import (MIN_TIME_POINTS, decomposition_ensemble,
+                   epsilon_convergence_study, write_components_csv,
+                   write_study_csv)
 
 
 class ConfigError(ValueError):
@@ -192,6 +193,8 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     if len(u) != dim:
         raise ConfigError(f"{source}:silt: u length != dim")
     eps = tuple(float(e) for e in eps)
+    if not eps:
+        raise ConfigError(f"{source}:silt: eps schedule must not be empty")
     if any(e <= 0 for e in eps):
         raise ConfigError(f"{source}:silt: eps values must be positive")
     if any(later >= earlier for earlier, later in zip(eps, eps[1:])):
@@ -238,6 +241,26 @@ def load_config(path) -> ExperimentConfig:
             f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}"
         ) from err
     return config_from_dict(raw, source=str(path))
+
+
+def require_inputs(cfg: ExperimentConfig, names) -> None:
+    """Refuse a config on which a suite (or the silt command) named in
+    ``names`` cannot give a meaningful answer; other names pass."""
+    points = int(round(cfg.horizon * cfg.n)) * cfg.sub_steps + 1
+    for name in names:
+        where = f"{cfg.source}: {name}"
+        if (name in ("mass", "moments", "martingale", "eps-study")
+                and cfg.replicates < 2):
+            raise ConfigError(f"{where} takes a sample standard error and "
+                              f"needs at least 2 replicates, got "
+                              f"{cfg.replicates}")
+        if name in ("ito", "eps-study", "silt") and points < MIN_TIME_POINTS:
+            raise ConfigError(f"{where} needs at least {MIN_TIME_POINTS} "
+                              f"recorded time points (n * horizon * "
+                              f"sub_steps + 1), got {points}")
+        if name == "eps-study" and len(cfg.eps_schedule) < 3:
+            raise ConfigError(f"{where} needs at least three eps values, "
+                              f"got {len(cfg.eps_schedule)}")
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +610,7 @@ SUITES: dict[str, Callable[[ExperimentConfig], list[CheckResult]]] = {
 
 def run_experiment(cfg: ExperimentConfig,
                    write_artifacts: bool = True) -> StatReport:
+    require_inputs(cfg, cfg.suites)
     report_obj = StatReport(config_hash=cfg.config_hash(), seed=cfg.seed)
 
     model = cfg.model()

@@ -73,10 +73,12 @@ def isotropic_alpha(model: CoefficientModel) -> float:
     return float(diag[0])
 
 
-def _sim_rho(traj: RecordedTrajectory, kernel: MollifiedGreen) -> float:
+def _sim_alpha(traj: RecordedTrajectory, kernel: MollifiedGreen) -> float:
+    """The simulation's isotropic alpha, checked against the kernel's
+    dimension."""
     if traj.model.dim != kernel.dim:
         raise SiltUsageError("trajectory and kernel dimensions differ")
-    return isotropic_alpha(traj.model) / kernel.base.alpha
+    return isotropic_alpha(traj.model)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +170,6 @@ class PairGrid:
         for j, v in zip(self.diag_cells, sums):
             out[j] = v
         return out
-
-
-def _snap_horizon(traj: RecordedTrajectory, t: float) -> int:
-    return traj.snap_index(t)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +305,9 @@ def gamma_epsilon(traj: RecordedTrajectory, kernel: MollifiedGreen,
                   lam: float, horizon: float) -> float:
     """Double time integral of <(lambda - L) G_eps, mu_s mu_t> over s < t."""
     _check_lambda(kernel, lam)
-    _sim_rho(traj, kernel)  # dimension and isotropy check
-    upto = _snap_horizon(traj, horizon)
+    alpha_sim = _sim_alpha(traj, kernel)
+    upto = traj.snap_index(horizon)
     _require_resolution(upto)
-    alpha_sim = isotropic_alpha(traj.model)
     cells, _ = _pair_pass(traj, kernel.u, upto - 1,
                           strict=[_gamma_read(kernel, alpha_sim)])
     dt = traj.dt
@@ -320,7 +317,7 @@ def gamma_epsilon(traj: RecordedTrajectory, kernel: MollifiedGreen,
 def double_point_term(traj: RecordedTrajectory, kernel: MollifiedGreen,
                       horizon: float) -> float:
     """Left-endpoint time integral of the same-time pair functional."""
-    upto = _snap_horizon(traj, horizon)
+    upto = traj.snap_index(horizon)
     if upto == 0:
         return 0.0
     _, diag = _pair_pass(traj, kernel.u, upto - 1,
@@ -336,9 +333,9 @@ def tanaka_decomposition(traj: RecordedTrajectory, kernel: MollifiedGreen,
     frozen at t_k is paired against the increment to t_{k+1}.
     """
     _check_lambda(kernel, lam)
-    upto = _snap_horizon(traj, horizon)
+    upto = traj.snap_index(horizon)
     _require_resolution(upto)
-    rho = _sim_rho(traj, kernel)
+    rho = _sim_alpha(traj, kernel) / kernel.base.alpha
     g_read = (kernel.radial, math.inf)
     (p_g, p_psi), (diag_g,) = _pair_pass(
         traj, kernel.u, upto,

@@ -12,9 +12,7 @@ from flowsilt.engine import (
     MartingaleSpec,
     ObservableSpec,
     SimulationDiverged,
-    init_population,
     martingale_path,
-    measure_at,
     quadratic_variation_check,
     simulate_ensemble,
     write_replicate_csv,
@@ -149,32 +147,27 @@ def test_duplicate_observable_names_rejected():
 
 def test_init_population_largest_remainder_rounding():
     spec = InitialMeasureSpec.from_atoms([([0.0], 0.6), ([1.0], 0.4)])
-    rep = init_population(spec, n=5, seed=0)
-    mu = measure_at(rep, 0.0)
+    res = simulate_ensemble(BM1D, spec, 5, horizon=0.0, seed=0, replicates=1,
+                            record="full")
+    mu = res.trajectory(0).measure_at(0.0)
     assert mu.positions.shape == (5, 1)
     assert np.sum(mu.positions[:, 0] == 0.0) == 3
     assert np.sum(mu.positions[:, 0] == 1.0) == 2
-    assert rep.mass == pytest.approx(1.0)
+    assert res.final_mass[0] == pytest.approx(1.0)
 
     uneven = InitialMeasureSpec.from_atoms([([0.0], 0.5), ([1.0], 0.25), ([2.0], 0.25)])
-    rep2 = init_population(uneven, n=2, seed=0)
-    assert measure_at(rep2, 0.0).positions.shape[0] == 2
-
-
-def test_replica_facade_step_contract():
-    rep = init_population(DELTA0, n=4, seed=5, model=BM1D, sub_steps=2)
-    with pytest.raises(EngineUsageError, match="dt_sub"):
-        rep.advance(0.3)
-    rep.run(0.5)
-    assert rep.time == pytest.approx(0.5)
-    traj = rep.trajectory()
-    assert len(traj.times) == 5  # 0.5 * 4 grid steps * 2 sub-steps + 1
-    assert traj.dt == pytest.approx(0.125)
+    res2 = simulate_ensemble(BM1D, uneven, 2, horizon=0.0, seed=0,
+                             replicates=1, record="full")
+    assert res2.trajectory(0).measure_at(0.0).positions.shape[0] == 2
 
 
 def test_measure_at_snaps_and_rejects_out_of_range():
-    rep = init_population(DELTA0, n=4, seed=5, model=BM1D, sub_steps=1).run(0.5)
-    traj = rep.trajectory()
+    res = simulate_ensemble(BM1D, DELTA0, 4, 0.5, seed=5, replicates=1,
+                            sub_steps=2, record="full")
+    traj = res.trajectory(0)
+    assert len(traj.times) == 5  # 0.5 * 4 grid steps * 2 sub-steps + 1
+    assert traj.dt == pytest.approx(0.125)
+    assert traj.times[-1] == pytest.approx(0.5)
     mu = traj.measure_at(0.25)
     assert mu.time == pytest.approx(0.25)
     with pytest.raises(EngineUsageError, match="range"):

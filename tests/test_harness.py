@@ -386,3 +386,32 @@ def test_cli_report_full_cycle(tmp_path: Path, capsys) -> None:
     assert "report:" in out
     assert (tmp_path / "out" / "checks.csv").exists()
     assert (tmp_path / "out" / "report.md").exists()
+
+
+@pytest.mark.parametrize("sim, silt, commands, message", [
+    # 5 recorded time points: too coarse for the double time integrals
+    ({"n": 4, "horizon": 1.0, "sub_steps": 1}, {},
+     [["eps-study"], ["report", "eps-study"], ["silt"], ["report", "ito"]],
+     "at least 8 recorded time points"),
+    ({}, {"eps": [0.4, 0.2]}, [["eps-study"]], "at least three eps values"),
+    ({}, {"eps": []}, [["eps-study"], ["report", "ito"]],
+     "eps schedule must not be empty"),
+    ({"replicates": 1}, {}, [["report", "mass"], ["eps-study"]],
+     "at least 2 replicates"),
+], ids=["unresolved-grid", "two-eps", "no-eps", "one-replicate"])
+def test_cli_refuses_inputs_without_a_meaningful_answer(
+        tmp_path: Path, capsys, sim, silt, commands, message) -> None:
+    for command in commands:
+        raw = base_dict()
+        raw["sim"].update(sim)
+        raw["silt"] = silt
+        raw["out"] = str(tmp_path / "out")
+        if command[0] == "report":
+            raw["suites"] = command[1:]
+        path = write_config(tmp_path, raw)
+        assert main([command[0], "--config", path]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:"), command
+        assert message in captured.err, command
+        assert "Traceback" not in captured.err
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
