@@ -9,17 +9,17 @@ from .engine import (AtomicMeasure, EnsembleResult, MartingaleSpec,
 from .genealogy import (Label, Topology, ancestor_at, arrangement_count,
                         classify_topology, mrca)
 from .green import (GreenFunction, GreenUsageError, MollifiedGreen,
-                    mollifier_radial, mollify_green, resolvent_green)
+                    mollifier_radial)
 from .harness import (CheckResult, ConfigError, ExperimentConfig, StatReport,
                       config_from_dict, load_config, run_experiment,
                       write_report)
 from .model import (CallableFunction, CoefficientModel, ConstantOne,
                     GaussianBump, InitialMeasureSpec, TestFunction,
-                    ValidationReport, a_matrix, generator_L, generator_Ln,
-                    lambda_form, sigma_matrix, validate_model)
+                    ValidationReport, a_matrix, generator_L, sigma_matrix,
+                    validate_model)
 from .oracle import (FreezeLeading, MergeBlocks, MomentFormula,
                      OracleModelError, diagonal_restrict, dump_terms,
-                     mixed_moment, simplex_integrate)
+                     mixed_moment)
 from .silt import (EpsStudy, ResolutionError, SiltComponents,
                    SiltUsageError, double_point_term,
                    epsilon_convergence_study, gamma_epsilon,
@@ -34,15 +34,13 @@ __all__ = [
     "Label", "Topology", "ancestor_at",
     "arrangement_count", "classify_topology", "mrca",
     "GreenFunction", "GreenUsageError", "MollifiedGreen", "mollifier_radial",
-    "mollify_green", "resolvent_green",
     "CheckResult", "ConfigError", "ExperimentConfig", "StatReport",
     "config_from_dict", "load_config", "run_experiment", "write_report",
     "CallableFunction", "CoefficientModel", "ConstantOne", "GaussianBump",
     "InitialMeasureSpec", "TestFunction", "ValidationReport", "a_matrix",
-    "generator_L", "generator_Ln", "lambda_form", "sigma_matrix",
-    "validate_model",
+    "generator_L", "sigma_matrix", "validate_model",
     "FreezeLeading", "MergeBlocks", "MomentFormula", "OracleModelError",
-    "diagonal_restrict", "dump_terms", "mixed_moment", "simplex_integrate",
+    "diagonal_restrict", "dump_terms", "mixed_moment",
     "EpsStudy", "ResolutionError", "SiltComponents",
     "SiltUsageError", "double_point_term", "epsilon_convergence_study",
     "gamma_epsilon", "tanaka_decomposition",

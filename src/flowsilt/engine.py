@@ -118,18 +118,16 @@ class Population:
         rep_ids = np.arange(replicate_offset, replicate_offset + self.R,
                             dtype=np.uint64)
         rep_keys = rng.fold_keys(np.uint64(rng.derive_key(self.seed)), rep_ids)
-        self._rep_keys = rep_keys
         self._flow_keys = rng.tag_keys(rep_keys, rng.FLOW_TAG)
         self._motion_stride = rng.normal_stride(model.dim)
         self._flow_stride = rng.normal_stride(model.flow_dim)
 
-        per_rep = self._initial_positions(initial, rep_keys)
-        m_count = per_rep[0].shape[0] if per_rep else 0
+        block = self._initial_positions(initial)
+        m_count = block.shape[0]
         if m_count == 0:
             warnings.warn("initial population is empty; all functionals are 0",
                           RuntimeWarning)
-        self.pos = (np.concatenate(per_rep, axis=0) if m_count
-                    else np.zeros((0, model.dim)))
+        self.pos = np.tile(block, (self.R, 1))
         self.rep = np.repeat(np.arange(self.R, dtype=np.int64), m_count)
         roots = np.tile(np.arange(1, m_count + 1, dtype=np.uint64), self.R)
         self.root = roots.astype(np.int64)
@@ -139,50 +137,22 @@ class Population:
 
     # -- initial placement
 
-    def _initial_positions(self, spec: InitialMeasureSpec,
-                           rep_keys: np.ndarray) -> list[np.ndarray]:
+    def _initial_positions(self, spec: InitialMeasureSpec) -> np.ndarray:
+        """round(n * total mass) particles on the atoms, n * mass each
+        rounded down and the remainder given to the largest fractions."""
         n = self.n
         total = int(math.floor(n * spec.total_mass + 0.5))
-        if spec.atoms is not None:
-            targets = np.array([n * m for _, m in spec.atoms])
-            counts = np.floor(targets).astype(int)
-            frac = targets - counts
-            short = total - counts.sum()
-            if short > 0:
-                order = np.argsort(-frac, kind="stable")
-                counts[order[:short]] += 1
-            rows = [np.repeat(p[None, :], c, axis=0)
-                    for (p, _), c in zip(spec.atoms, counts) if c > 0]
-            block = (np.concatenate(rows, axis=0) if rows
-                     else np.zeros((0, spec.dim)))
-            return [block] * self.R
-        return [self._sample_density(spec, total, key) for key in rep_keys]
-
-    def _sample_density(self, spec: InitialMeasureSpec, count: int,
-                        rep_key: np.uint64) -> np.ndarray:
-        """Rejection sampling from the normalized density on its box."""
-        d = spec.dim
-        lo, hi = spec.support_lo, spec.support_hi
-        bound = spec.density_bound
-        key = rng.tag_keys(np.array([rep_key]), rng.INIT_TAG)
-        out = np.empty((count, d))
-        got = 0
-        ctr = 0
-        while got < count:
-            chunk = max(4 * (count - got), 256)
-            u = rng.uniforms(key, ctr, chunk * (d + 1))[0].reshape(chunk, d + 1)
-            ctr += chunk * (d + 1)
-            x = lo + u[:, :d] * (hi - lo)
-            dens = np.array([spec.density(row) for row in x])
-            accept = u[:, d] * bound <= dens
-            take = min(int(accept.sum()), count - got)
-            out[got:got + take] = x[accept][:take]
-            got += take
-            if ctr > 10_000_000 * (d + 1):
-                raise EngineUsageError(
-                    "density rejection sampling failed; check density_bound"
-                )
-        return out
+        targets = np.array([n * m for _, m in spec.atoms])
+        counts = np.floor(targets).astype(int)
+        frac = targets - counts
+        short = total - counts.sum()
+        if short > 0:
+            order = np.argsort(-frac, kind="stable")
+            counts[order[:short]] += 1
+        rows = [np.repeat(p[None, :], c, axis=0)
+                for (p, _), c in zip(spec.atoms, counts) if c > 0]
+        return (np.concatenate(rows, axis=0) if rows
+                else np.zeros((0, spec.dim)))
 
     # -- time bookkeeping
 
@@ -446,7 +416,8 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
 
     record: "none" (final state only), "mass" (per-sub-step mass path),
     or "full" (positions at every sub-step, for path functionals).
-    Replicate k draws from the streams of replicate replicate_offset + k,
+    The horizon must be a multiple of the grid step 1/n. Replicate k
+    draws from the streams of replicate replicate_offset + k,
     so one replicate of a larger run can be replayed alone. workers > 1
     splits the replicates into that many chunks, runs them one after
     another in this process and merges the results; no number changes.
@@ -469,9 +440,12 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
     names = [o.name for o in observables]
     if len(set(names)) != len(names):
         raise EngineUsageError("observable names must be unique")
+    grid_steps = int(round(horizon * n))
+    if abs(horizon * n - grid_steps) > 1e-9 * max(1.0, grid_steps):
+        raise EngineUsageError(f"horizon {horizon} is not a multiple of "
+                               f"the grid step 1/{n}")
     pop = Population(model, initial, n, seed, replicates, sub_steps,
                      replicate_offset)
-    grid_steps = int(round(horizon * n))
     total_sub = grid_steps * sub_steps
     r_count = pop.R
 

@@ -25,8 +25,6 @@ from enum import Enum
 from math import comb
 from typing import Optional, Sequence
 
-from . import rng
-
 
 class Topology(Enum):
     # quadruple shapes
@@ -61,16 +59,6 @@ class Label:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def child(self, bit: int) -> "Label":
-        return Label(self.root, self.bits + (bit,))
-
-    def key64(self) -> int:
-        """64-bit stream key; stable under the engine's key derivation."""
-        h = rng.derive_key(self.root)
-        for b in self.bits:
-            h = rng.mix64(rng.mix64(h ^ (rng._CHILD1 if b else rng._CHILD0)))
-        return h
 
     def __repr__(self):
         return f"({self.root};{','.join(str(b) for b in self.bits)})"

@@ -3,16 +3,17 @@
 For a constant-coefficient model the single-particle motion is a Gaussian
 diffusion with covariance rate a = diag(b^2) + c c'. The resolvent kernel
 at rate lambda is the exponentially weighted time integral of its
-transition density. In one and three dimensions with isotropic a the
-kernel is elementary; otherwise it is computed by whitening plus a
-one-dimensional adaptive quadrature in time.
+transition density. With isotropic a the kernel has a closed form: an
+exponential in one and three dimensions, the Bessel function K0 in two.
+Anisotropic kernels are computed by whitening plus a one-dimensional
+adaptive quadrature in time, which also serves as the reference the
+closed forms are checked against.
 
 Mollification convolves the kernel with the standard bump supported on
-the ball of radius eps; in two dimensions the base kernel enters through
-its Bessel K0 form. Outside the bump support the convolution is exactly
-the sharp kernel times a constant C_d(eps), so only [0, eps] needs a
-tabulated profile: a clamped cubic spline of the panel quadrature there,
-and the closed form (Bessel K0 in d=2) beyond. These are the reads the
+the ball of radius eps. Outside the bump support the convolution is
+exactly the sharp kernel times a constant C_d(eps), so only [0, eps]
+needs a tabulated profile: a clamped cubic spline of the panel
+quadrature there, and the closed form beyond. These are the reads the
 pair-sum estimators evaluate in bulk.
 """
 
@@ -106,14 +107,15 @@ class GreenFunction:
                           and np.allclose(off, 0.0, atol=1e-14)
                           and diag[0] > 0)
         self.alpha = float(diag[0]) if self.isotropic else None
-        self.closed_form = self.isotropic and self.dim in (1, 3)
+        self.closed_form = self.isotropic and self.dim in (1, 2, 3)
         if self.isotropic:
             self.kappa = math.sqrt(2.0 * self.lam / self.alpha)
 
     # -- radial access (isotropic only)
 
     def radial(self, r) -> np.ndarray:
-        """Kernel value at radius r >= 0; +inf at r = 0 when d >= 2."""
+        """Kernel value at radius r >= 0; +inf at r = 0 when d >= 2.
+        Closed form in d = 1, 2, 3, the time quadrature otherwise."""
         if not self.isotropic:
             raise GreenUsageError("radial form needs isotropic coefficients")
         r = np.abs(np.asarray(r, dtype=float))
@@ -124,11 +126,9 @@ class GreenFunction:
             with np.errstate(divide="ignore"):
                 out = np.exp(-kap * r) / (2.0 * math.pi * a * r)
             return np.where(r == 0.0, np.inf, out)
-        scale = a ** (-0.5 * self.dim)
-        flat = np.atleast_1d(r)
-        vals = np.array([_unit_radial(x / math.sqrt(a), self.dim, lam)
-                         for x in flat]) * scale
-        return vals.reshape(r.shape) if r.shape else vals[0]
+        if self.dim == 2:
+            return k0(kap * r) / (math.pi * a)
+        return self.quadrature_radial(r)
 
     def quadrature_radial(self, r) -> np.ndarray:
         """The time-quadrature route regardless of dimension (test hook)."""
@@ -155,7 +155,7 @@ class GreenFunction:
             return math.inf
         return _unit_radial(rw, self.dim, self.lam) / det_half
 
-    def l1_mass(self, tol: float = 1e-12) -> float:
+    def l1_mass(self) -> float:
         """Numeric total integral; equals 1/lambda up to quadrature error."""
         if not self.isotropic:
             raise GreenUsageError("mass check implemented for isotropic a")
@@ -165,17 +165,13 @@ class GreenFunction:
         def shell(r):
             return _SPHERE_AREA[d] * r ** (d - 1) * float(self.radial(r))
 
-        val, _ = quad(shell, 0.0, r_hi, epsabs=tol, epsrel=tol, limit=400)
+        val, _ = quad(shell, 0.0, r_hi, epsabs=1e-12, epsrel=1e-12,
+                      limit=400)
         return val
 
     def _far_radius(self) -> float:
         """Radius beyond which the kernel is below 1e-16 of its scale."""
         return (40.0 + 8.0 * abs(math.log10(self.lam + 1.0))) / self.kappa
-
-
-def resolvent_green(model: CoefficientModel, lam: float, u, x) -> float:
-    """Kernel value at x for shift point u."""
-    return GreenFunction(model, lam, u).value(x)
 
 
 class MollifiedGreen:
@@ -192,8 +188,7 @@ class MollifiedGreen:
     GRID_POINTS = 4096
     SUPPORT_CUT = 1e-12
 
-    def __init__(self, base: GreenFunction, eps: float,
-                 grid_points: int = GRID_POINTS):
+    def __init__(self, base: GreenFunction, eps: float):
         if eps <= 0:
             raise GreenUsageError("eps must be positive")
         if not base.isotropic or base.dim not in (1, 2, 3):
@@ -226,7 +221,7 @@ class MollifiedGreen:
         self.far_scale = float(_SPHERE_AREA[self.dim] * 0.5 * self.eps
                                * ((shell * phi) @ weights))
 
-        self._grid = np.linspace(0.0, self.eps, grid_points)
+        self._grid = np.linspace(0.0, self.eps, self.GRID_POINTS)
         self._profile = self.exact_radial(self._grid)
         slope = self.far_scale * self._base_slope(self.eps)
         self._spline = CubicSpline(self._grid, self._profile,
@@ -295,12 +290,6 @@ class MollifiedGreen:
 
     # -- fast reads
 
-    def _base_radial(self, r: np.ndarray) -> np.ndarray:
-        """The sharp kernel at radii r > 0, without quadrature in d=2."""
-        if self.dim == 2:
-            return k0(self.base.kappa * r) / (math.pi * self.base.alpha)
-        return self.base.radial(r)
-
     def _base_slope(self, r: float) -> float:
         """Radial derivative of the sharp kernel at r > 0."""
         kap = self.base.kappa
@@ -318,7 +307,7 @@ class MollifiedGreen:
         inner = rr < self.eps
         out[inner] = self._spline(rr[inner])
         outer = ~inner & (rr <= self.support_radius)
-        out[outer] = self.far_scale * self._base_radial(rr[outer])
+        out[outer] = self.far_scale * self.base.radial(rr[outer])
         return np.maximum(out, 0.0).reshape(r_in.shape)
 
     # -- integral diagnostics
@@ -367,10 +356,6 @@ class MollifiedGreen:
         if rho != 1.0:
             out = out + self.lam * (1.0 - rho) * self.radial(r)
         return out
-
-
-def mollify_green(base: GreenFunction, eps: float) -> MollifiedGreen:
-    return MollifiedGreen(base, eps)
 
 
 _GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -180,6 +180,10 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
                       ("horizon", horizon), ("replicates", replicates)):
         if val <= 0:
             raise ConfigError(f"{source}:sim: {name} must be positive")
+    grid_steps = round(horizon * n)
+    if abs(horizon * n - grid_steps) > 1e-9 * max(1.0, grid_steps):
+        raise ConfigError(f"{source}:sim: horizon {horizon} is not a "
+                          f"multiple of the grid step 1/n = 1/{n}")
     if seed < 0:
         raise ConfigError(f"{source}:sim: seed must be a nonnegative integer")
 
@@ -568,8 +572,7 @@ def suite_eps_study(cfg: ExperimentConfig,
     study = epsilon_convergence_study(
         model, initial, cfg.n, cfg.horizon, cfg.lam, np.asarray(cfg.u),
         cfg.eps_schedule, cfg.replicates, cfg.seed,
-        sub_steps=cfg.sub_steps, include_small_ball=(cfg.dim == 1),
-        workers=cfg.threads)
+        sub_steps=cfg.sub_steps, workers=cfg.threads)
     dt = time.perf_counter() - t0
     if out_dir is not None:
         write_study_csv(out_dir / "eps_study.csv", study)
@@ -702,12 +705,14 @@ def write_report(report_obj: StatReport, cfg: ExperimentConfig,
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """Simulate and dump the per-replicate observable CSV."""
+    """Simulate and dump the per-replicate CSV: mass and a bump at the
+    initial atom, both at every recorded sub-step."""
     model = cfg.model()
     initial = cfg.initial()
     center = np.asarray(initial.atoms[0][0], dtype=float)
     bump = GaussianBump(center, np.eye(cfg.dim))
-    grid = np.linspace(0.0, cfg.horizon, min(cfg.n * cfg.sub_steps, 64) + 1)
+    steps = int(round(cfg.horizon * cfg.n)) * cfg.sub_steps
+    grid = np.linspace(0.0, cfg.horizon, steps + 1)
     result = simulate_ensemble(
         model, initial, cfg.n, cfg.horizon, cfg.seed, cfg.replicates,
         sub_steps=cfg.sub_steps, workers=cfg.threads,

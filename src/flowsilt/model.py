@@ -1,4 +1,5 @@
-"""Coefficient models, test functions, and the differential forms they induce.
+"""Coefficient models, test functions, the one-particle generator, and
+initial measures given as weighted atoms.
 
 A model consists of a per-particle coefficient ``b`` and a flow coefficient
 ``c``. Two particles at positions x and y see the correlated diffusion
@@ -20,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 ELLIPTICITY_FLOOR = 1e-8
+PROBE_POINTS = 11
 
 
 class ModelEvaluationError(ValueError):
@@ -28,10 +30,6 @@ class ModelEvaluationError(ValueError):
 
 class UnsupportedFunctionError(TypeError):
     """Operation requires derivatives the test function cannot provide."""
-
-
-class ModelValidationError(ValueError):
-    """A model assumption failed a numeric probe."""
 
 
 class CoefficientKind(Enum):
@@ -244,22 +242,15 @@ class CallableFunction(TestFunction):
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int,
                  grad: Optional[Callable] = None, hess: Optional[Callable] = None,
-                 twice_differentiable: bool = True, vectorized: bool = False):
+                 twice_differentiable: bool = True):
         self._fn = fn
         self.dim = dim
         self._grad = grad
         self._hess = hess
-        self._vectorized = vectorized
         self.twice_differentiable = twice_differentiable
 
     def value(self, x):
         return float(self._fn(np.asarray(x, dtype=float)))
-
-    def value_many(self, xs):
-        xs = np.atleast_2d(xs)
-        if self._vectorized:
-            return np.asarray(self._fn(xs), dtype=float)
-        return np.array([self.value(x) for x in xs])
 
     def grad(self, x):
         if self._grad is not None:
@@ -273,7 +264,7 @@ class CallableFunction(TestFunction):
 
 
 # ---------------------------------------------------------------------------
-# generators and the flow form
+# the one-particle generator
 
 
 def generator_L(model: CoefficientModel, f: TestFunction, x: np.ndarray) -> float:
@@ -283,97 +274,45 @@ def generator_L(model: CoefficientModel, f: TestFunction, x: np.ndarray) -> floa
     return 0.5 * float(np.sum(a * f.hess(x)))
 
 
-def generator_Ln(model: CoefficientModel, f, xs: np.ndarray) -> float:
-    """k-particle generator on a function of stacked coordinates.
-
-    ``f`` must expose ``hess(z)`` for z of shape (k*d,), or be a plain
-    callable on the stacked vector (finite differences are used then).
-    The cross-particle blocks carry sigma only.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    k, d = xs.shape
-    z = xs.reshape(-1)
-    if hasattr(f, "hess"):
-        hess = np.asarray(f.hess(z), dtype=float)
-    else:
-        wrapped = CallableFunction(f, dim=k * d)
-        hess = wrapped.hess(z)
-    total = 0.0
-    for p in range(k):
-        for q in range(k):
-            apq = a_matrix(model, xs[p], xs[q], same_particle=(p == q))
-            total += float(np.sum(apq * hess[p * d:(p + 1) * d, q * d:(q + 1) * d]))
-    return 0.5 * total
-
-
-def lambda_form(model: CoefficientModel, f: TestFunction,
-                x: np.ndarray, y: np.ndarray) -> float:
-    """Flow carre-du-champ: sum_ij sigma_ij(x, y) df/dxi(x) df/dxj(y)."""
-    s = sigma_matrix(model, x, y)
-    return float(f.grad(x) @ s @ f.grad(y))
-
-
 # ---------------------------------------------------------------------------
 # initial measures
 
 
 @dataclass(frozen=True)
 class InitialMeasureSpec:
-    """Either a finite list of weighted atoms or a bounded density on a box."""
+    """A finite list of weighted atoms (position, mass)."""
 
     dim: int
-    atoms: Optional[tuple[tuple[np.ndarray, float], ...]] = None
-    density: Optional[Callable[[np.ndarray], float]] = None
-    support_lo: Optional[np.ndarray] = None
-    support_hi: Optional[np.ndarray] = None
-    density_bound: Optional[float] = None
-    total_mass: float = 1.0
+    atoms: tuple[tuple[np.ndarray, float], ...]
 
     @classmethod
     def point(cls, position: Sequence[float], mass: float = 1.0) -> "InitialMeasureSpec":
         pos = np.atleast_1d(np.asarray(position, dtype=float))
-        return cls(dim=pos.shape[0], atoms=((pos, float(mass)),), total_mass=float(mass))
+        return cls(dim=pos.shape[0], atoms=((pos, float(mass)),))
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple[Sequence[float], float]]) -> "InitialMeasureSpec":
         packed = tuple((np.atleast_1d(np.asarray(p, dtype=float)), float(m)) for p, m in atoms)
         if not packed:
             raise ValueError("need at least one atom")
-        dim = packed[0][0].shape[0]
-        total = sum(m for _, m in packed)
-        return cls(dim=dim, atoms=packed, total_mass=total)
+        return cls(dim=packed[0][0].shape[0], atoms=packed)
 
-    @classmethod
-    def from_density(cls, density: Callable[[np.ndarray], float],
-                     support_lo: Sequence[float], support_hi: Sequence[float],
-                     total_mass: float, density_bound: float) -> "InitialMeasureSpec":
-        lo = np.atleast_1d(np.asarray(support_lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(support_hi, dtype=float))
-        if lo.shape != hi.shape or np.any(hi <= lo):
-            raise ValueError("support box is empty or malformed")
-        return cls(dim=lo.shape[0], density=density, support_lo=lo, support_hi=hi,
-                   density_bound=float(density_bound), total_mass=float(total_mass))
+    @property
+    def total_mass(self) -> float:
+        return sum(m for _, m in self.atoms)
 
     def validate(self) -> None:
         if self.total_mass <= 0:
             raise ValueError("total mass must be positive")
-        if self.atoms is None and self.density is None:
-            raise ValueError("measure needs atoms or a density")
-        if self.atoms is not None:
-            for pos, m in self.atoms:
-                if m <= 0:
-                    raise ValueError("atom masses must be positive")
-                if pos.shape != (self.dim,):
-                    raise ValueError("atom dimension mismatch")
-        if self.density is not None:
-            if self.density_bound is None or not np.isfinite(self.density_bound):
-                raise ValueError("density spec requires a finite bound")
+        for pos, m in self.atoms:
+            if m <= 0:
+                raise ValueError("atom masses must be positive")
+            if pos.shape != (self.dim,):
+                raise ValueError("atom dimension mismatch")
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.atoms is not None:
-            pts = np.array([p for p, _ in self.atoms])
-            return pts.min(axis=0), pts.max(axis=0)
-        return self.support_lo, self.support_hi
+        pts = np.array([p for p, _ in self.atoms])
+        return pts.min(axis=0), pts.max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +325,14 @@ class ValidationReport:
     min_eigenvalue: float
     lipschitz_b: float
     lipschitz_c: float
-    density_ok: bool
     messages: list[str] = field(default_factory=list)
 
 
 def default_probe_grid(model: CoefficientModel,
                        initial: Optional[InitialMeasureSpec] = None,
-                       horizon: float = 1.0,
-                       points_per_axis: int = 11) -> np.ndarray:
-    """Lattice over the initial support box inflated by three diffusion
-    standard deviations at the horizon."""
+                       horizon: float = 1.0) -> np.ndarray:
+    """Lattice of PROBE_POINTS per axis over the initial support box
+    inflated by three diffusion standard deviations at the horizon."""
     d = model.dim
     if initial is not None:
         lo, hi = initial.support_box()
@@ -410,23 +347,18 @@ def default_probe_grid(model: CoefficientModel,
         spread = 3.0 * np.sqrt(horizon)
     lo = lo - spread - 1e-6
     hi = hi + spread + 1e-6
-    axes = [np.linspace(lo[i], hi[i], points_per_axis) for i in range(d)]
+    axes = [np.linspace(lo[i], hi[i], PROBE_POINTS) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def validate_model(model: CoefficientModel,
-                   probe_grid: Optional[np.ndarray] = None,
                    initial: Optional[InitialMeasureSpec] = None,
-                   horizon: float = 1.0,
-                   strict: bool = False) -> ValidationReport:
-    """Probe ellipticity of a(x, x), estimate Lipschitz constants of b and c
-    over grid pairs, and check the initial-measure declaration."""
-    if probe_grid is None:
-        probe_grid = default_probe_grid(model, initial=initial, horizon=horizon)
-    probe_grid = np.atleast_2d(probe_grid)
-    if probe_grid.shape[0] == 0:
-        raise ValueError("probe grid must be nonempty")
+                   horizon: float = 1.0) -> ValidationReport:
+    """Probe ellipticity of a(x, x) and estimate Lipschitz constants of b
+    and c over pairs of the default probe grid, and check the initial
+    measure."""
+    probe_grid = default_probe_grid(model, initial=initial, horizon=horizon)
 
     min_eig = np.inf
     lip_b = 0.0
@@ -453,28 +385,13 @@ def validate_model(model: CoefficientModel,
             f"< floor {ELLIPTICITY_FLOOR:.0e}"
         )
 
-    density_ok = True
     if initial is not None:
         try:
             initial.validate()
         except ValueError as exc:
-            density_ok = False
             passed = False
             msgs.append(f"initial measure invalid: {exc}")
-        if initial.density is not None and density_ok:
-            lo, hi = initial.support_lo, initial.support_hi
-            grid = np.stack(np.meshgrid(
-                *[np.linspace(lo[i], hi[i], 7) for i in range(initial.dim)],
-                indexing="ij"), axis=-1).reshape(-1, initial.dim)
-            vals = np.array([initial.density(p) for p in grid])
-            if np.any(vals < 0) or np.any(vals > initial.density_bound * (1 + 1e-9)):
-                density_ok = False
-                passed = False
-                msgs.append("density probe exceeds declared bound or is negative")
 
-    report = ValidationReport(passed=passed, min_eigenvalue=min_eig,
-                              lipschitz_b=lip_b, lipschitz_c=lip_c,
-                              density_ok=density_ok, messages=msgs)
-    if strict and not passed:
-        raise ModelValidationError("; ".join(msgs) or "model validation failed")
-    return report
+    return ValidationReport(passed=passed, min_eigenvalue=min_eig,
+                            lipschitz_b=lip_b, lipschitz_c=lip_c,
+                            messages=msgs)

@@ -188,54 +188,16 @@ def diagonal_restrict(f: GaussianFunctional, i: int, j: int) -> GaussianFunction
 # initial-measure pairing
 
 
-def _atom_stacks(mu0: InitialMeasureSpec, power: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered atom tuples of the tensor power: positions (C, power*d)
-    and mass products (C,)."""
+def pair_with_initial(amp: np.ndarray, mean: np.ndarray, prec: np.ndarray,
+                      power: int, mu0: InitialMeasureSpec) -> np.ndarray:
+    """<F, mu0^power> for batched function parameters: a sum over all
+    ordered atom tuples of the tensor power, weighted by mass products."""
     atoms = mu0.atoms
     pts = np.array([p for p, _ in atoms])
     ms = np.array([m for _, m in atoms])
     idx = np.array(list(itertools.product(range(len(atoms)), repeat=power)))
     pos = pts[idx].reshape(idx.shape[0], power * mu0.dim)
     w = ms[idx].prod(axis=1)
-    return pos, w
-
-
-def _density_stacks(mu0: InitialMeasureSpec, power: int,
-                    nodes: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    if power * mu0.dim > 2:
-        raise OracleModelError(
-            "density initial measures are supported up to two effective "
-            "dimensions in the pairing; use an atomic measure"
-        )
-    lo, hi = mu0.support_lo, mu0.support_hi
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    axes = []
-    wts = []
-    for _ in range(power):
-        for i in range(mu0.dim):
-            axes.append(0.5 * (hi[i] - lo[i]) * (x + 1) + lo[i])
-            wts.append(0.5 * (hi[i] - lo[i]) * w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pos = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*wts, indexing="ij")
-    wt = np.prod(np.stack([m.reshape(-1) for m in wmesh], axis=-1), axis=1)
-    dens = np.empty(pos.shape[0])
-    for r in range(pos.shape[0]):
-        val = 1.0
-        for blk in range(power):
-            val *= mu0.density(pos[r, blk * mu0.dim:(blk + 1) * mu0.dim])
-        dens[r] = val
-    # the slice density integrates to the slice mass, not to one
-    return pos, wt * dens
-
-
-def pair_with_initial(amp: np.ndarray, mean: np.ndarray, prec: np.ndarray,
-                      power: int, mu0: InitialMeasureSpec) -> np.ndarray:
-    """<F, mu0^power> for batched function parameters."""
-    if mu0.atoms is not None:
-        pos, w = _atom_stacks(mu0, power)
-    else:
-        pos, w = _density_stacks(mu0, power)
     vals = value_params(amp[:, None], mean[:, None, :], prec[:, None, :, :],
                         pos[None, :, :])
     return vals @ w
@@ -536,50 +498,3 @@ def dump_terms(model, order: int, test_functions: Sequence[TestFunction],
     return [(template.describe(),
              _term_value(kernels, template, phi, ts, mu0, nodes))
             for template in build_templates(order)]
-
-
-# ---------------------------------------------------------------------------
-# standalone simplex quadrature
-
-
-def simplex_integrate(f, upper: float, depth: int, nodes: int = DEFAULT_NODES,
-                      lower: float = 0.0, return_error: bool = False):
-    """Integrate f over the ordered region lower <= s_1 <= ... <= s_depth
-    <= upper. f receives an array of shape (depth,) (or a scalar batch via
-    vectorization below) and must be finite on the domain.
-    """
-    if depth not in (1, 2, 3):
-        raise ValueError("depth must be 1, 2, or 3")
-    if upper < lower:
-        raise ValueError("bounds must be ordered")
-
-    def _run(npts: int) -> float:
-        x, w = np.polynomial.legendre.leggauss(npts)
-
-        def rec(level: int, hi: float, prefix: list[float], wt: float) -> float:
-            width = hi - lower
-            if width <= 0:
-                return 0.0
-            ss = lower + 0.5 * (x + 1.0) * width
-            ws = 0.5 * width * w
-            acc = 0.0
-            for sval, sw in zip(ss, ws):
-                if level == 1:
-                    point = np.array([sval] + prefix)
-                    y = f(point)
-                    if not np.isfinite(y):
-                        raise ValueError(
-                            f"integrand not finite at {point.tolist()}"
-                        )
-                    acc += sw * wt * float(y)
-                else:
-                    acc += rec(level - 1, sval, [sval] + prefix, sw * wt)
-            return acc
-
-        return rec(depth, upper, [], 1.0)
-
-    coarse = _run(nodes)
-    if not return_error:
-        return coarse
-    fine = _run(2 * nodes)
-    return fine, abs(fine - coarse)

@@ -24,7 +24,6 @@ _MULT2 = 0x94D049BB133111EB
 MOTION_TAG = 0x6D6F74696F6E0001
 BRANCH_TAG = 0x6272616E63680002
 FLOW_TAG = 0x666C6F7700000003
-INIT_TAG = 0x696E697400000004
 _CHILD0 = 0xC2B2AE3D27D4EB4F
 _CHILD1 = 0x165667B19E3779F9
 

@@ -47,6 +47,7 @@ class ResolutionError(SiltUsageError):
 
 
 MIN_TIME_POINTS = 8
+SMALL_BALL_H = 0.1   # box radius of the eps-study's small-ball estimate
 
 
 @dataclass(frozen=True)
@@ -391,29 +392,20 @@ class EpsStudy:
         """Per-replicate renormalized value extrapolated to zero smoothing.
 
         Quadratic-in-scale Lagrange extrapolation through the last three
-        distinct schedule values.  Pair separations concentrate near zero
-        with a kink in their density, so the scale error carries a linear
-        term on top of the quadratic one; fitting both and evaluating at
-        zero removes them together.  Falls back to the final column when
-        the schedule has fewer than three distinct values.
+        schedule values (the schedule is strictly decreasing).  Pair
+        separations concentrate near zero with a kink in their density, so
+        the scale error carries a linear term on top of the quadratic one;
+        fitting both and evaluating at zero removes them together.
         """
-        seen: list[int] = []
-        for idx in range(len(self.eps) - 1, -1, -1):
-            if all(self.eps[idx] != self.eps[j] for j in seen):
-                seen.append(idx)
-            if len(seen) == 3:
-                break
-        if len(seen) < 3:
-            return self.renormalized[:, -1].copy()
-        cols = seen[::-1]
-        x = [self.eps[i] for i in cols]
+        x = self.eps[-3:]
+        cols = self.renormalized[:, -3:]
         out = np.zeros(self.renormalized.shape[0])
-        for pos, i in enumerate(cols):
+        for pos in range(3):
             w = 1.0
             for q, xq in enumerate(x):
                 if q != pos:
                     w *= xq / (xq - x[pos])
-            out += w * self.renormalized[:, i]
+            out += w * cols[:, pos]
         return out
 
 
@@ -457,21 +449,21 @@ def epsilon_convergence_study(model: CoefficientModel,
                               eps_schedule: Sequence[float],
                               replicates: int, seed: int,
                               sub_steps: int = 1,
-                              include_small_ball: bool = False,
-                              small_ball_h: float = 0.1,
                               workers: int = 1) -> EpsStudy:
     """Coupled-seed L2 distances between consecutive renormalized values.
 
     All kernels are evaluated on the same simulated paths (common random
-    numbers), so the reported distances isolate the kernel change.
+    numbers), so the reported distances isolate the kernel change. In one
+    dimension the small-ball estimate at h = SMALL_BALL_H is taken on the
+    same paths.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if len(eps_schedule) < 3:
         raise SiltUsageError("the schedule needs at least three values")
     if any(e <= 0 for e in eps_schedule):
         raise SiltUsageError("eps values must be positive")
-    if any(b > a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise SiltUsageError("the schedule must be non-increasing")
+    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
+        raise SiltUsageError("the schedule must be strictly decreasing")
 
     base = GreenFunction(model, lam, u)
     kernels = [MollifiedGreen(base, e) for e in eps_schedule]
@@ -483,12 +475,12 @@ def epsilon_convergence_study(model: CoefficientModel,
     n_eps = len(eps_schedule)
     renorm = np.zeros((replicates, n_eps))
     dps = np.zeros((replicates, n_eps))
-    sball = np.zeros(replicates) if include_small_ball else None
+    sball = np.zeros(replicates) if model.dim == 1 else None
 
     strict = [_gamma_read(kern, alpha_sim) for kern in kernels]
     diag = [(kern.radial, math.inf) for kern in kernels]
     if sball is not None:
-        box_reads, base_read = _small_ball_reads(base, small_ball_h)
+        box_reads, base_read = _small_ball_reads(base, SMALL_BALL_H)
         strict += box_reads
         diag += base_read
 

@@ -219,7 +219,7 @@ def test_a09_mollification_cauchy_limit(capsys) -> None:
     t0 = time.perf_counter()
     study = epsilon_convergence_study(
         BM1D, initial, 96, 0.5, 1.0, np.zeros(1), (0.4, 0.2, 0.1, 0.05),
-        replicates=64, seed=905, sub_steps=1, include_small_ball=True)
+        replicates=64, seed=905, sub_steps=1)
     elapsed = time.perf_counter() - t0
 
     d = study.distances

@@ -174,6 +174,13 @@ def test_measure_at_snaps_and_rejects_out_of_range():
         traj.measure_at(3.0)
 
 
+def test_off_grid_horizon_rejected():
+    """0.53 is not a multiple of 1/16; the run must not stop at 0.5."""
+    with pytest.raises(EngineUsageError, match="multiple of the grid step"):
+        simulate_ensemble(BM1D, DELTA0, 16, 0.53, seed=1, replicates=1,
+                          sub_steps=4, record="full")
+
+
 def test_divergence_is_reported_with_location():
     bad = CoefficientModel.from_callables(
         1, 1, b=lambda x: np.array([np.nan]), c=lambda x: np.zeros((1, 1)))

@@ -137,14 +137,6 @@ def test_arrangement_counts():
         arrangement_count(Topology.THREE_TREES)
 
 
-def test_key64_distinct_for_siblings():
-    parent = Label(1, (0, 1))
-    k0 = parent.child(0).key64()
-    k1 = parent.child(1).key64()
-    assert k0 != k1
-    assert parent.key64() not in (k0, k1)
-
-
 @st.composite
 def label_pairs(draw):
     depth = draw(st.integers(min_value=0, max_value=6))

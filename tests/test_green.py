@@ -1,8 +1,9 @@
 """Resolvent kernels and mollification.
 
-The closed forms in d=1,3 are checked against the independent
-time-quadrature route, d=2 against the Bessel-K0 resolvent, and the
-mollified kernels against their defining integral identities.
+The closed forms (exponential in d=1,3, Bessel K0 in d=2) are checked
+against the independent time-quadrature route, d=2 also against the K0
+expression written out here, and the mollified kernels against their
+defining integral identities.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from flowsilt.green import (
     GreenUsageError,
     MollifiedGreen,
     mollifier_radial,
-    mollify_green,
-    resolvent_green,
 )
 from flowsilt.model import CoefficientModel
 
@@ -47,12 +46,14 @@ def test_d3_closed_form_matches_quadrature():
 
 
 def test_d2_matches_bessel_resolvent():
-    """In the plane the kernel is K0; the module only knows the quadrature."""
+    """In the plane the kernel is K0, and the time quadrature agrees."""
     alpha, lam = 1.5, 0.8
     g = GreenFunction(iso_model(2, alpha), lam=lam)
     for r in (0.1, 0.4, 1.2, 3.0):
         expected = k0(r * math.sqrt(2.0 * lam / alpha)) / (math.pi * alpha)
         assert float(g.radial(r)) == pytest.approx(expected, rel=1e-9)
+    radii = np.array([0.05, 0.2, 0.9, 2.5])
+    assert np.max(np.abs(g.radial(radii) - g.quadrature_radial(radii))) < 1e-8
 
 
 def test_green_mass_is_reciprocal_lambda():
@@ -74,7 +75,7 @@ def test_value_uses_shift_point():
     g0 = GreenFunction(iso_model(3, 1.0), lam=1.0)
     x = np.array([0.8, 0.1, -0.4])
     assert g.value(x) == pytest.approx(g0.value(x - u), rel=1e-13)
-    assert resolvent_green(iso_model(3, 1.0), 1.0, u, x) == pytest.approx(
+    assert GreenFunction(iso_model(3, 1.0), 1.0, u).value(x) == pytest.approx(
         g.value(x), rel=1e-13)
 
 
@@ -111,7 +112,7 @@ def test_mollified_mass_is_reciprocal_lambda():
     for dim, lam in ((1, 1.0), (2, 0.6), (3, 1.0), (3, 2.5)):
         base = GreenFunction(iso_model(dim, 1.0), lam=lam)
         for eps in (0.4, 0.1):
-            assert mollify_green(base, eps).mass() == pytest.approx(
+            assert MollifiedGreen(base, eps).mass() == pytest.approx(
                 1.0 / lam, abs=1e-8)
 
 
@@ -120,7 +121,7 @@ def test_mollified_generator_identity_d1():
     convolution. The spline profile is bypassed on purpose: its second
     derivative carries interpolation error well above this tolerance."""
     base = GreenFunction(iso_model(1, 2.0), lam=1.3)
-    moll = mollify_green(base, 0.3)
+    moll = MollifiedGreen(base, 0.3)
     h = 1e-3
     for r in (0.05, 0.12, 0.22, 0.45):
         f0, fp, fm = (float(moll.exact_radial(x))
@@ -134,7 +135,7 @@ def test_mollified_generator_identity_d1():
 def test_mollified_generator_identity_d3():
     base = GreenFunction(iso_model(3, 1.0), lam=1.0)
     eps = 0.35
-    moll = mollify_green(base, eps)
+    moll = MollifiedGreen(base, eps)
     h = 1e-3
     for r in (0.08, 0.2, 0.35, 0.6):
         f0, fp, fm = (float(moll.exact_radial(x))
@@ -152,7 +153,7 @@ def test_mollified_d2_matches_direct_convolution():
     of bump * K0 over the disk."""
     alpha, lam, eps = 1.5, 0.8, 0.3
     base = GreenFunction(iso_model(2, alpha), lam=lam)
-    moll = mollify_green(base, eps)
+    moll = MollifiedGreen(base, eps)
 
     def oracle(r):
         def inner(s):
@@ -178,7 +179,7 @@ def test_mollified_d2_matches_direct_convolution():
 def test_mollified_generator_identity_d2():
     alpha, lam, eps = 1.5, 0.8, 0.3
     base = GreenFunction(iso_model(2, alpha), lam=lam)
-    moll = mollify_green(base, eps)
+    moll = MollifiedGreen(base, eps)
     h = 1e-3
     for r in (0.08, 0.15, 0.22, 0.4):
         f0, fp, fm = (float(moll.exact_radial(x))
@@ -192,7 +193,7 @@ def test_mollified_generator_identity_d2():
 
 def test_lambda_minus_l_radial_routes():
     base = GreenFunction(iso_model(1, 2.0), lam=1.0)
-    moll = mollify_green(base, 0.2)
+    moll = MollifiedGreen(base, 0.2)
     r = np.array([0.0, 0.1, 0.3])
     same = moll.lambda_minus_l_radial(r)
     assert same == pytest.approx(mollifier_radial(r, 0.2, 1), rel=1e-12)
@@ -206,7 +207,7 @@ def test_lambda_minus_l_radial_routes():
 def test_l1_localization_shrinks_with_eps():
     for dim in (1, 2, 3):
         base = GreenFunction(iso_model(dim, 1.0), lam=1.0)
-        dists = [mollify_green(base, eps).l1_distance_to_base()
+        dists = [MollifiedGreen(base, eps).l1_distance_to_base()
                  for eps in (0.4, 0.2, 0.1)]
         assert dists[1] < 0.9 * dists[0]
         assert dists[2] < 0.9 * dists[1]
@@ -216,7 +217,7 @@ def test_spline_reader_tracks_exact_profile():
     rng = np.random.default_rng(5)
     for dim in (1, 2, 3):
         base = GreenFunction(iso_model(dim, 1.0), lam=1.0)
-        moll = mollify_green(base, 0.25)
+        moll = MollifiedGreen(base, 0.25)
         radii = np.concatenate([rng.uniform(0.0, moll.eps, size=64),
                                 rng.uniform(0.0, moll.support_radius, size=64),
                                 [0.0, moll.eps, moll.support_radius]])
@@ -236,7 +237,7 @@ def test_far_field_is_scaled_sharp_kernel(dim):
     by adaptive quadrature."""
     alpha, lam, eps = 1.3, 0.8, 0.3
     base = GreenFunction(iso_model(dim, alpha), lam=lam)
-    moll = mollify_green(base, eps)
+    moll = MollifiedGreen(base, eps)
     kap = base.kappa
     phi = {1: math.cosh, 2: lambda x: float(i0(x)),
            3: lambda x: math.sinh(x) / x}[dim]
@@ -252,7 +253,7 @@ def test_far_field_is_scaled_sharp_kernel(dim):
 
 def test_peak_grows_as_eps_shrinks_d3():
     base = GreenFunction(iso_model(3, 1.0), lam=1.0)
-    peaks = [float(mollify_green(base, eps).radial(0.0))
+    peaks = [float(MollifiedGreen(base, eps).radial(0.0))
              for eps in (0.4, 0.2, 0.1)]
     assert peaks[0] < peaks[1] < peaks[2]
     assert np.isfinite(peaks[-1])

@@ -130,6 +130,7 @@ def mutate(path: str, value) -> dict:
     (mutate("model", {"dim": 1, "b": [1.0], "c": [[]]}), r"c be 1xm"),
     (mutate("model", {"dim": 1, "b": [1.0], "c": [1.0]}),
      "model.c a list of rows of numbers"),
+    (mutate("sim.horizon", 0.53), "not a multiple of the grid step"),
 ])
 def test_config_rejections(raw: dict, message: str) -> None:
     with pytest.raises(ConfigError, match=message):
@@ -332,7 +333,7 @@ def test_cli_simulate_writes_replicates(tmp_path: Path, capsys) -> None:
     assert main(["simulate", "--config", path, "--out", str(out_dir)]) == 0
     assert "wrote" in capsys.readouterr().out
     header = (out_dir / "replicates.csv").read_text().splitlines()[0]
-    assert header.startswith("replicate,")
+    assert header == "replicate,t,mass,bump"
 
 
 def test_cli_moments_prints_pass_lines(tmp_path: Path, capsys) -> None:
@@ -398,7 +399,12 @@ def test_cli_report_full_cycle(tmp_path: Path, capsys) -> None:
      "eps schedule must not be empty"),
     ({"replicates": 1}, {}, [["report", "mass"], ["eps-study"]],
      "at least 2 replicates"),
-], ids=["unresolved-grid", "two-eps", "no-eps", "one-replicate"])
+    # 0.53 * 16 grid steps: the engine would stop at 0.5
+    ({"horizon": 0.53, "sub_steps": 4}, {},
+     [["silt"], ["report", "ito"], ["eps-study"]],
+     "not a multiple of the grid step"),
+], ids=["unresolved-grid", "two-eps", "no-eps", "one-replicate",
+        "off-grid-horizon"])
 def test_cli_refuses_inputs_without_a_meaningful_answer(
         tmp_path: Path, capsys, sim, silt, commands, message) -> None:
     for command in commands:

@@ -10,12 +10,9 @@ from flowsilt.model import (
     GaussianBump,
     InitialMeasureSpec,
     ModelEvaluationError,
-    ModelValidationError,
     UnsupportedFunctionError,
     a_matrix,
     generator_L,
-    generator_Ln,
-    lambda_form,
     sigma_matrix,
     validate_model,
 )
@@ -80,7 +77,6 @@ def test_gaussian_bump_requires_positive_definite_precision():
 def test_constant_one_annihilated_by_generator():
     m = bm1d()
     assert generator_L(m, ConstantOne(1), np.zeros(1)) == 0.0
-    assert lambda_form(m, ConstantOne(1), np.zeros(1), np.ones(1)) == 0.0
 
 
 def test_generator_on_quadratic():
@@ -88,15 +84,6 @@ def test_generator_on_quadratic():
     m = bm1d()
     f = CallableFunction(lambda x: float(x[0] ** 2), dim=1)
     assert generator_L(m, f, np.array([0.7])) == pytest.approx(2.0, abs=1e-6)
-
-
-def test_two_particle_generator_couples_through_flow_only():
-    m = CoefficientModel.constant([1.0], [[2.0]])
-    # f(x, y) = x * y is harmonic for each particle alone; L2 picks up
-    # the cross term sigma(x, y) = 4
-    f = CallableFunction(lambda z: float(z[0] * z[1]), dim=2)
-    val = generator_Ln(m, f, np.array([[0.3], [0.9]]))
-    assert val == pytest.approx(4.0, abs=1e-5)
 
 
 def test_untwice_differentiable_function_refuses_hessian():
@@ -129,13 +116,6 @@ def test_measure_validate_rejects_bad_atoms():
         bad.validate()
 
 
-def test_density_spec_needs_bound():
-    with pytest.raises(ValueError, match="bound"):
-        InitialMeasureSpec(dim=1, density=lambda x: 1.0,
-                           support_lo=np.zeros(1), support_hi=np.ones(1),
-                           density_bound=np.inf).validate()
-
-
 def test_validate_model_passes_preset():
     rep = validate_model(bm1d(), initial=InitialMeasureSpec.point([0.0]))
     assert rep.passed
@@ -148,14 +128,3 @@ def test_validate_model_flags_degenerate_diffusion():
     rep = validate_model(degenerate)
     assert not rep.passed
     assert any("ellipticity" in m for m in rep.messages)
-    with pytest.raises(ModelValidationError):
-        validate_model(degenerate, strict=True)
-
-
-def test_validate_model_probes_density_bound():
-    init = InitialMeasureSpec.from_density(
-        lambda x: 2.0, support_lo=[0.0], support_hi=[1.0],
-        total_mass=1.0, density_bound=1.0)
-    rep = validate_model(bm1d(), initial=init)
-    assert not rep.density_ok
-    assert not rep.passed

@@ -25,7 +25,6 @@ from flowsilt.oracle import (
     build_templates,
     dump_terms,
     mixed_moment,
-    simplex_integrate,
 )
 from oracles import (
     coalescent_moment,
@@ -168,26 +167,3 @@ def test_oracle_rejects_plain_callables():
     f = CallableFunction(lambda x: float(np.cos(x[0])), dim=1)
     with pytest.raises(OracleModelError, match="Gaussian"):
         mixed_moment(BM1D, 1, [f], [1.0], DELTA0)
-
-
-def test_simplex_integrate_closed_forms():
-    vol2 = simplex_integrate(lambda s: 1.0, upper=1.0, depth=2)
-    vol3 = simplex_integrate(lambda s: 1.0, upper=1.0, depth=3)
-    assert vol2 == pytest.approx(0.5, rel=1e-12)
-    assert vol3 == pytest.approx(1.0 / 6.0, rel=1e-12)
-    # int over 0<=s1<=s2<=1 of s1*s2 = 1/8
-    prod = simplex_integrate(lambda s: s[0] * s[1], upper=1.0, depth=2)
-    assert prod == pytest.approx(0.125, rel=1e-10)
-
-
-def test_simplex_integrate_reports_error_estimate():
-    val, err = simplex_integrate(np.prod, upper=2.0, depth=2, return_error=True)
-    assert err < 1e-8
-    assert val == pytest.approx(2.0, rel=1e-10)
-
-
-def test_simplex_integrate_rejects_bad_domain():
-    with pytest.raises(ValueError, match="depth"):
-        simplex_integrate(lambda s: 1.0, upper=1.0, depth=4)
-    with pytest.raises(ValueError, match="ordered"):
-        simplex_integrate(lambda s: 1.0, upper=-1.0, depth=2)

@@ -273,28 +273,16 @@ def test_eps_study_guards():
     with pytest.raises(SiltUsageError, match="positive"):
         epsilon_convergence_study(BM1, init, 16, 0.5, 1.0, (0.0,),
                                   (0.4, 0.2, -0.1), 4, 1)
-    with pytest.raises(SiltUsageError, match="non-increasing"):
-        epsilon_convergence_study(BM1, init, 16, 0.5, 1.0, (0.0,),
-                                  (0.2, 0.4, 0.1), 4, 1)
-
-
-def test_eps_study_degenerate_schedule_has_zero_distance():
-    study = epsilon_convergence_study(
-        BM1, InitialMeasureSpec.point((0.0,), 1.0), 16, 0.5, 1.0, (0.0,),
-        (0.2, 0.2, 0.2), replicates=6, seed=11)
-    for _, _, l2, se in study.distances:
-        assert l2 == 0.0
-        assert se == 0.0
-    assert np.array_equal(study.renormalized[:, 0], study.renormalized[:, 2])
-    # fewer than three distinct values: extrapolation falls back
-    assert np.array_equal(study.extrapolated_limit(),
-                          study.renormalized[:, -1])
+    for schedule in ((0.2, 0.4, 0.1), (0.2, 0.2, 0.1)):
+        with pytest.raises(SiltUsageError, match="strictly decreasing"):
+            epsilon_convergence_study(BM1, init, 16, 0.5, 1.0, (0.0,),
+                                      schedule, 4, 1)
 
 
 def test_eps_study_columns_are_coupled_and_summarized():
     study = epsilon_convergence_study(
         BM1, InitialMeasureSpec.point((0.0,), 1.0), 32, 0.5, 1.0, (0.0,),
-        (0.4, 0.2, 0.1), replicates=24, seed=5, include_small_ball=True)
+        (0.4, 0.2, 0.1), replicates=24, seed=5)
     assert study.renormalized.shape == (24, 3)
     assert study.double_points.shape == (24, 3)
     assert len(study.distances) == 2
