@@ -540,14 +540,21 @@ def _accumulate_martingales(pop: Population, martingales, mart, w) -> None:
 
 def write_replicate_csv(path, result: EnsembleResult) -> None:
     """Per-replicate summary rows: replicate, t, mass, then one column per
-    observable whose recorded times match the mass grid."""
+    observable. Every observable must be recorded on the mass grid."""
     if result.mass_path is None:
         raise EngineUsageError("run with record='mass' or 'full' to export")
     times = result.times
     cols = []
+    off_grid = []
     for name, (ots, vals) in sorted(result.observables.items()):
         if len(ots) == len(times) and np.allclose(ots, times):
             cols.append((name, vals))
+        else:
+            off_grid.append(f"{name} ({len(ots)} times)")
+    if off_grid:
+        raise EngineUsageError(
+            f"observables not recorded on the {len(times)}-point mass grid "
+            f"cannot be exported: {', '.join(off_grid)}")
     with open(path, "w", encoding="utf-8") as fh:
         header = ["replicate", "t", "mass"] + [name for name, _ in cols]
         fh.write(",".join(header) + "\n")

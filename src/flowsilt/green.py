@@ -213,7 +213,7 @@ class MollifiedGreen:
         # the spherical mean of the base kernel over a sphere of radius
         # s < r around a point at radius r is G(r) phi(kappa s), phi the
         # regular radial solution of the same equation with phi(0) = 1
-        nodes, weights = _gl_cache(96)
+        nodes, weights = gauss_legendre(96)
         s = 0.5 * self.eps * (nodes + 1.0)
         ks = base.kappa * s
         phi = {1: np.cosh, 2: i0, 3: lambda x: np.sinh(x) / x}[self.dim](ks)
@@ -240,7 +240,7 @@ class MollifiedGreen:
         rr = np.abs(r_in).reshape(-1)
         eps = self.eps
         a, kap = self.base.alpha, self.base.kappa
-        nodes, weights = _gl_cache(96)
+        nodes, weights = gauss_legendre(96)
         mid = np.minimum(rr, eps)[:, None]
 
         def integral(f, lo, hi):
@@ -361,7 +361,9 @@ class MollifiedGreen:
 _GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _gl_cache(n: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (-1, 1), built once per n and
+    shared; callers must not write to them."""
     if n not in _GL_NODES:
         _GL_NODES[n] = np.polynomial.legendre.leggauss(n)
     return _GL_NODES[n]

@@ -18,6 +18,19 @@ The finished function has arity equal to the term's initial-measure power
 and is paired with that tensor power of the initial measure. Terms with
 branch stages carry time integrals over the branch times, evaluated by
 nested Gauss-Legendre rules over (products of) simplices.
+
+A term is evaluated for its whole quadrature grid at once, but each
+stage runs on the distinct functions it sees, not on the grid rows. A
+row-to-function index travels with the batch: a diffusion stage convolves
+each distinct (function, gap) pair once, so a gap between observation
+times, the same on every row, costs one push, and a stage to the right
+of every branch time costs one push per distinct gap. A branch stage
+that sums over pairs (AnyPair) splits the batch into one branch per pair
+from the function they share; the stages to its right have already run
+once for all of them, so the pair choices form a trie walked right to
+left. The branches see the same gaps and share one row index. Every
+matrix goes through the same Gaussian update as it would in a
+row-by-row evaluation, so the values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import numpy as np
 
 from .gaussian import (GaussianFunctional, convolve_params, merge_embedding,
                        pullback_params, value_params)
+from .green import gauss_legendre
 from .model import (CoefficientModel, ConstantOne, GaussianBump,
                     InitialMeasureSpec, TestFunction)
 
@@ -96,6 +110,15 @@ def ledger_superscripts(ell0: int, ops: Sequence[object]) -> list[int]:
     return sup
 
 
+def _choices(op) -> list:
+    """The concrete stages one stage stands for: a MergeBlocks per pair
+    for AnyPair, the stage itself otherwise."""
+    if isinstance(op, AnyPair):
+        return [MergeBlocks(i, j) for i in range(1, op.m + 1)
+                for j in range(i + 1, op.m + 1)]
+    return [op]
+
+
 # ---------------------------------------------------------------------------
 # constant-model covariance kernels
 
@@ -137,41 +160,76 @@ def _step_cov(kernels: ModelKernels, arity: int, moving: int,
     return cov
 
 
+def _convolve_distinct(kernels: ModelKernels, branches: list,
+                       ids: np.ndarray, gap_col: np.ndarray, arity: int,
+                       moving: int) -> tuple[list, np.ndarray]:
+    """One diffusion stage on the distinct (function, gap) pairs of a batch.
+
+    Each branch holds (amp, mean, prec) of its distinct functions; row b
+    of the batch is function ids[b] of every branch and has gap
+    gap_col[b]. Each distinct pair is convolved once per branch. Returns
+    the new branches and row index.
+    """
+    gap_vals, gap_ids = np.unique(gap_col, return_inverse=True)
+    _, first, new_ids = np.unique(ids * gap_vals.shape[0] + gap_ids,
+                                  return_index=True, return_inverse=True)
+    src = ids[first]
+    cov = _step_cov(kernels, arity, moving, gap_col[first])
+    return [convolve_params(amp[src], mean[src], prec[src], cov)
+            for amp, mean, prec in branches], new_ids
+
+
 def evaluate_gamma_batch(kernels: ModelKernels, ell0: int,
                          ops: Sequence[object], gaps: np.ndarray,
-                         phi: GaussianFunctional) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Push phi through the composition for a batch of gap vectors.
+                         phi: GaussianFunctional) -> tuple:
+    """Push phi through every concrete stage list of ops for a batch of
+    gap vectors.
 
-    phi has arity ell0 plus the number of merges and gaps has shape
-    (B, len(ops) + 1); returns batched (amp, mean, prec) of the finished
-    arity-ell0 function. The callers check their inputs; this does not.
+    phi has arity ell0 plus the number of branch stages and gaps has
+    shape (B, len(ops) + 1). The stages run right to left on the distinct
+    functions of the batch, not on its rows: a diffusion stage convolves
+    each distinct (function, gap) pair once, so a gap that is constant
+    over the batch (t_j - t_{j-1}) is pushed once, and a merge acts on
+    the distinct functions only. An AnyPair stage branches into its pair
+    choices from the functions they share, so the stages to its right
+    run once for all of its choices (a trie over the choices, walked
+    right to left). All branches see the same gaps, so they share one
+    row index, and each stage finds its distinct pairs once for all of
+    them.
+
+    Returns (amp, mean, prec, ids): the finished arity-ell0 functions,
+    indexed (combination, function), and the row index ids of shape (B,):
+    row b of combination c is function [c, ids[b]]. The combinations of
+    the stages' choices come in itertools.product order. The callers
+    check their inputs; this does not.
     """
     sup = ledger_superscripts(ell0, ops)
     k = len(ops)
-    arity = ell0 + sum(isinstance(op, MergeBlocks) for op in ops)
+    arity = ell0 + sum(not isinstance(op, FreezeLeading) for op in ops)
     d = phi.dim
     gaps = np.atleast_2d(np.asarray(gaps, dtype=float))
-    b = gaps.shape[0]
 
-    amp = np.full(b, phi.amplitude)
-    mean = np.broadcast_to(phi.mean, (b, arity * d)).copy()
-    prec = np.broadcast_to(phi.precision, (b, arity * d, arity * d)).copy()
-
-    def _convolve(gap_col, a, m):
-        nonlocal amp, mean, prec
-        cov = _step_cov(kernels, a, m, gap_col)
-        amp, mean, prec = convolve_params(amp, mean, prec, cov)
-
-    _convolve(gaps[:, k], arity, sup[k])
+    branches = [(np.array([phi.amplitude]), phi.mean[None, :],
+                 phi.precision[None, :, :])]
+    branches, ids = _convolve_distinct(
+        kernels, branches, np.zeros(gaps.shape[0], dtype=np.intp),
+        gaps[:, k], arity, sup[k])
     for p in range(k - 1, -1, -1):
         op = ops[p]
-        if isinstance(op, MergeBlocks):
+        if not isinstance(op, FreezeLeading):
             frozen = arity - sup[p + 1]
-            e = merge_embedding(arity, d, frozen + op.i - 1, frozen + op.j - 1)
-            amp, mean, prec = pullback_params(amp, mean, prec, e)
+            embeds = [merge_embedding(arity, d, frozen + merge.i - 1,
+                                      frozen + merge.j - 1)
+                      for merge in _choices(op)]
+            # the new choice varies slowest, as in itertools.product
+            branches = [pullback_params(*branch, e)
+                        for e in embeds for branch in branches]
             arity -= 1
-        _convolve(gaps[:, p], arity, sup[p])
-    return amp, mean, prec
+        branches, ids = _convolve_distinct(kernels, branches, ids,
+                                           gaps[:, p], arity, sup[p])
+    amp, mean, prec = (np.stack([branch[q] for branch in branches])
+                       for q in range(3))
+    return amp, mean, prec, ids
 
 
 def diagonal_restrict(f: GaussianFunctional, i: int, j: int) -> GaussianFunctional:
@@ -189,18 +247,26 @@ def diagonal_restrict(f: GaussianFunctional, i: int, j: int) -> GaussianFunction
 
 
 def pair_with_initial(amp: np.ndarray, mean: np.ndarray, prec: np.ndarray,
-                      power: int, mu0: InitialMeasureSpec) -> np.ndarray:
+                      power: int, mu0: InitialMeasureSpec,
+                      rows: np.ndarray) -> np.ndarray:
     """<F, mu0^power> for batched function parameters: a sum over all
-    ordered atom tuples of the tensor power, weighted by mass products."""
+    ordered atom tuples of the tensor power, weighted by mass products.
+
+    The functions are indexed by the leading axes of amp; rows picks
+    along the last of them, so entry [..., b] of the result pairs function
+    [..., rows[b]]. Each function is evaluated at the atom tuples once,
+    but the weighted sum over them runs on the rows: its rounding can
+    depend on a row's place in the batch.
+    """
     atoms = mu0.atoms
     pts = np.array([p for p, _ in atoms])
     ms = np.array([m for _, m in atoms])
     idx = np.array(list(itertools.product(range(len(atoms)), repeat=power)))
     pos = pts[idx].reshape(idx.shape[0], power * mu0.dim)
     w = ms[idx].prod(axis=1)
-    vals = value_params(amp[:, None], mean[:, None, :], prec[:, None, :, :],
-                        pos[None, :, :])
-    return vals @ w
+    vals = value_params(amp[..., None], mean[..., None, :],
+                        prec[..., None, :, :], pos)
+    return vals[..., rows, :] @ w
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +460,7 @@ def _quadrature_grid(template: TermTemplate, ts: np.ndarray, nodes: int):
     Returns (assignments, weights); empty domains get zero weight, which
     makes coincident observation times exact.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = gauss_legendre(nodes)
     assigned: dict[str, np.ndarray] = {}
     weights = np.ones(1)
     batch = 1
@@ -411,13 +477,12 @@ def _quadrature_grid(template: TermTemplate, ts: np.ndarray, nodes: int):
     return assigned, weights
 
 
-def _term_value(kernels: ModelKernels, template: TermTemplate,
-                phi: GaussianFunctional, ts: np.ndarray,
-                mu0: InitialMeasureSpec, nodes: int) -> float:
+def _term_grid(template: TermTemplate, ts: np.ndarray,
+               nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gap vectors (B, len(slots)) and quadrature weights (B,) of one
+    term."""
     assigned, weights = _quadrature_grid(template, ts, nodes)
     batch = weights.shape[0]
-    if batch == 0 or not np.any(weights != 0.0):
-        return 0.0
     slot_vals = np.empty((batch, len(template.slots)))
     for col, slot in enumerate(template.slots):
         if slot.startswith("t"):
@@ -427,23 +492,22 @@ def _term_value(kernels: ModelKernels, template: TermTemplate,
     gaps = np.empty_like(slot_vals)
     gaps[:, 0] = slot_vals[:, 0]
     gaps[:, 1:] = np.diff(slot_vals, axis=1)
-    gaps = np.maximum(gaps, 0.0)
+    return np.maximum(gaps, 0.0), weights
 
+
+def _term_value(kernels: ModelKernels, template: TermTemplate,
+                phi: GaussianFunctional, ts: np.ndarray,
+                mu0: InitialMeasureSpec, nodes: int) -> float:
+    gaps, weights = _term_grid(template, ts, nodes)
+    if weights.shape[0] == 0 or not np.any(weights != 0.0):
+        return 0.0
+    amp, mean, prec, ids = evaluate_gamma_batch(kernels, template.ell0,
+                                                template.ops, gaps, phi)
+    paired = pair_with_initial(amp, mean, prec, template.ell0, mu0, ids)
     total = 0.0
-    for concrete in _expand_ops(template.ops):
-        amp, mean, prec = evaluate_gamma_batch(kernels, template.ell0,
-                                               concrete, gaps, phi)
-        paired = pair_with_initial(amp, mean, prec, template.ell0, mu0)
-        total += float(paired @ weights)
+    for row in paired:
+        total += float(row @ weights)
     return total
-
-
-def _expand_ops(ops: tuple) -> list[tuple]:
-    """All concrete stage lists of a template (branch-pair choices)."""
-    choices = [[MergeBlocks(i, j) for i in range(1, op.m + 1)
-                for j in range(i + 1, op.m + 1)]
-               if isinstance(op, AnyPair) else [op] for op in ops]
-    return [tuple(combo) for combo in itertools.product(*choices)]
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,9 @@ def normals(keys: np.ndarray, counter_start: int, m: int) -> np.ndarray:
     """Standard normals via Box-Muller, shape (len(keys), m).
 
     Consumes 2*ceil(m/2) counters per key regardless of parity, so a
-    caller advancing its counter by that stride stays reproducible.
+    caller advancing its counter by that stride stays reproducible. Entry
+    q is the same number for every m > q; for odd m the sine of the last
+    pair, which would be entry m, is not computed.
     """
     pairs = (m + 1) // 2
     u = uniforms(keys, counter_start, 2 * pairs)
@@ -82,10 +84,12 @@ def normals(keys: np.ndarray, counter_start: int, m: int) -> np.ndarray:
     u2 = u[:, pairs:]
     r = np.sqrt(-2.0 * np.log(u1))
     theta = (2.0 * np.pi) * u2
-    z = np.empty((u.shape[0], 2 * pairs))
+    if m == 1:
+        return r * np.cos(theta)
+    z = np.empty((u.shape[0], m))
     z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
-    return z[:, :m]
+    z[:, 1::2] = r[:, :m // 2] * np.sin(theta[:, :m // 2])
+    return z
 
 
 def normal_stride(m: int) -> int:

@@ -208,6 +208,17 @@ def test_write_replicate_csv(tmp_path):
     assert float(first[2]) == pytest.approx(1.0)
 
 
+def test_csv_refuses_observables_off_the_mass_grid(tmp_path):
+    spec = ObservableSpec("bump", GaussianBump([0.0], [[1.0]]),
+                          (0.0, 0.25, 0.5))
+    res = simulate_ensemble(BM1D, DELTA0, 16, 0.5, seed=4, replicates=2,
+                            sub_steps=1, observables=[spec], record="mass")
+    out = tmp_path / "reps.csv"
+    with pytest.raises(EngineUsageError, match=r"bump \(3 times\)"):
+        write_replicate_csv(out, res)
+    assert not out.exists()
+
+
 def test_csv_requires_recorded_mass():
     res = simulate_ensemble(BM1D, DELTA0, 8, 0.25, seed=4, replicates=1,
                             record="none")

@@ -9,6 +9,8 @@ share no code beyond numpy.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,20 @@ from flowsilt.model import (
     GaussianBump,
     InitialMeasureSpec,
 )
+import flowsilt.oracle
 from flowsilt.oracle import (
     MomentFormula,
     ModelKernels,
     OracleModelError,
+    _choices,
+    _prepare,
+    _term_grid,
+    _term_value,
     build_templates,
     dump_terms,
+    evaluate_gamma_batch,
     mixed_moment,
+    pair_with_initial,
 )
 from oracles import (
     coalescent_moment,
@@ -167,3 +176,81 @@ def test_oracle_rejects_plain_callables():
     f = CallableFunction(lambda x: float(np.cos(x[0])), dim=1)
     with pytest.raises(OracleModelError, match="Gaussian"):
         mixed_moment(BM1D, 1, [f], [1.0], DELTA0)
+
+
+FLOW3D = CoefficientModel.constant([1.0, 0.0, 0.0], np.eye(3).tolist())
+TWO_ATOMS = {
+    1: InitialMeasureSpec.from_atoms([([0.2], 0.7), ([-0.5], 1.3)]),
+    3: InitialMeasureSpec.from_atoms([([0.2, 0.2, 0.2], 0.7),
+                                      ([-0.5, 0.3, 0.3], 1.3)]),
+}
+SKEW_PRECISION = {
+    1: [[2.0]],
+    3: [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]],
+}
+
+
+@pytest.mark.parametrize("times", [(0.3, 0.6, 0.8, 1.0), (0.5, 0.5, 1.0, 1.0)],
+                         ids=["distinct", "coincident"])
+@pytest.mark.parametrize("model", [BM1D, FLOW3D], ids=["bm1d", "flow3d"])
+def test_batched_evaluation_equals_row_by_row(model, times):
+    """A one-row batch has one function per stage and pair choice, so
+    these calls run the evaluator with nothing shared across rows; the
+    full grid must give every row the same function, bit for bit, and
+    the same term value. Each pair choice must match its concrete stage
+    list run alone, in itertools.product order."""
+    d = model.dim
+    bump = GaussianBump([0.1] * d, SKEW_PRECISION[d])
+    mu0 = TWO_ATOMS[d]
+    nodes = 3
+    for order in (1, 2, 3, 4):
+        kernels, ts, phi = _prepare(model, order, [bump] * order,
+                                    times[:order], mu0)
+        for template in build_templates(order):
+            gaps, weights = _term_grid(template, ts, nodes)
+            batch = evaluate_gamma_batch(kernels, template.ell0,
+                                         template.ops, gaps, phi)
+            single = [evaluate_gamma_batch(kernels, template.ell0,
+                                           template.ops, gaps[b:b + 1], phi)
+                      for b in range(gaps.shape[0])]
+            # (combinations, B, ...) parameters of every row's function
+            rows = [np.stack([one[q][:, one[3][0]] for one in single], axis=1)
+                    for q in range(3)]
+            for q in range(3):
+                assert (batch[q][:, batch[3]].tobytes()
+                        == rows[q].tobytes()), template.name
+            # combination c is the c-th concrete stage list, run on its own
+            combos = itertools.product(*map(_choices, template.ops))
+            for c, combo in enumerate(combos):
+                alone = evaluate_gamma_batch(kernels, template.ell0, combo,
+                                             gaps, phi)
+                for q in range(3):
+                    assert (alone[q][0, alone[3]].tobytes()
+                            == rows[q][c].tobytes()), template.name
+
+            expected = 0.0
+            if np.any(weights != 0.0):
+                for c in range(rows[0].shape[0]):
+                    paired = pair_with_initial(
+                        rows[0][c], rows[1][c], rows[2][c], template.ell0,
+                        mu0, np.arange(gaps.shape[0]))
+                    expected += float(paired @ weights)
+            got = _term_value(kernels, template, phi, ts, mu0, nodes)
+            assert got.hex() == expected.hex(), template.name
+
+
+def test_staged_evaluation_pushes_each_suffix_once(monkeypatch):
+    """Pushing every stage over every quadrature row, once per pair
+    choice, convolves 59,056 matrices in this call."""
+    pushed = []
+    convolve = flowsilt.oracle.convolve_params
+
+    def counting(amp, mean, prec, cov):
+        pushed.append(int(np.prod(np.shape(prec)[:-2])))
+        return convolve(amp, mean, prec, cov)
+
+    monkeypatch.setattr(flowsilt.oracle, "convolve_params", counting)
+    bump = GaussianBump([0.0] * 3, SKEW_PRECISION[3])
+    mixed_moment(FLOW3D, 4, [bump] * 4, (0.3, 0.6, 0.8, 1.0),
+                 InitialMeasureSpec.point([0.0] * 3), nodes=6)
+    assert 0 < sum(pushed) < 59056 / 3

@@ -79,6 +79,17 @@ def test_normals_consume_declared_stride():
     assert np.array_equal(nxt, cont)
 
 
+@pytest.mark.parametrize("counter", [0, 7, 123456])
+def test_odd_normals_are_a_prefix_of_the_next_even_draw(counter):
+    keys = np.array([rng.derive_key(3, s) for s in range(1000)],
+                    dtype=np.uint64)
+    for odd in (1, 3):
+        got = rng.normals(keys, counter, odd)
+        want = rng.normals(keys, counter, odd + 1)[:, :odd]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_coin_flips_fair_and_deterministic():
     keys = np.array([rng.derive_key(3, s) for s in range(20000)], dtype=np.uint64)
     flips = rng.coin_flips(keys, 17)
