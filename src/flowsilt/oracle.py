@@ -187,15 +187,9 @@ def evaluate_gamma_batch(kernels: ModelKernels, ell0: int,
 
     phi has arity ell0 plus the number of branch stages and gaps has
     shape (B, len(ops) + 1). The stages run right to left on the distinct
-    functions of the batch, not on its rows: a diffusion stage convolves
-    each distinct (function, gap) pair once, so a gap that is constant
-    over the batch (t_j - t_{j-1}) is pushed once, and a merge acts on
-    the distinct functions only. An AnyPair stage branches into its pair
-    choices from the functions they share, so the stages to its right
-    run once for all of its choices (a trie over the choices, walked
-    right to left). All branches see the same gaps, so they share one
-    row index, and each stage finds its distinct pairs once for all of
-    them.
+    functions of the batch, as the module docstring describes: each
+    AnyPair stage branches into its pair choices, and each diffusion
+    stage finds its distinct (function, gap) pairs once for all branches.
 
     Returns (amp, mean, prec, ids): the finished arity-ell0 functions,
     indexed (combination, function), and the row index ids of shape (B,):
