@@ -84,8 +84,6 @@ def normals(keys: np.ndarray, counter_start: int, m: int) -> np.ndarray:
     u2 = u[:, pairs:]
     r = np.sqrt(-2.0 * np.log(u1))
     theta = (2.0 * np.pi) * u2
-    if m == 1:
-        return r * np.cos(theta)
     z = np.empty((u.shape[0], m))
     z[:, 0::2] = r * np.cos(theta)
     z[:, 1::2] = r[:, :m // 2] * np.sin(theta[:, :m // 2])
