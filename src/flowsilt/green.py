@@ -13,7 +13,8 @@ Mollification convolves the kernel with the standard bump supported on
 the ball of radius eps. Outside the bump support the convolution is
 exactly the sharp kernel times a constant C_d(eps), so only [0, eps]
 needs a tabulated profile: a clamped cubic spline of the panel
-quadrature there, and the closed form beyond. These are the reads the
+quadrature on a uniform grid there, whose coefficients are read by
+direct index, and the closed form beyond. These are the reads the
 pair-sum estimators evaluate in bulk.
 """
 
@@ -52,11 +53,11 @@ def mollifier_radial(r, eps: float, d: int):
     r = np.asarray(r, dtype=float)
     c = _bump_constant(d) / eps ** d
     s = np.abs(r) / eps
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = c * np.exp(-1.0 / (1.0 - s[inside] ** 2))
-    return out
+    # evaluated everywhere and zeroed outside the unit ball, where the
+    # exponent may overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bump = c * np.exp(-1.0 / (1.0 - s ** 2))
+    return np.where(s < 1.0, bump, 0.0)
 
 
 def _unit_radial(r: float, d: int, lam: float) -> float:
@@ -182,7 +183,11 @@ class MollifiedGreen:
     3) or a Bessel K0 (d=2) and the spherical average over the bump
     support is elementary. Beyond eps the convolution is the base kernel
     times a constant (see ``far_scale``); inside eps reads go through a
-    clamped cubic spline of the exact panel quadrature.
+    clamped cubic spline of the exact panel quadrature on a uniform grid.
+    The spline is fitted once by scipy; a read finds its interval by
+    direct index on the grid and evaluates the interval's cubic in the
+    order scipy's own evaluator uses, so the values are scipy's bit for
+    bit without its per-point search.
     """
 
     GRID_POINTS = 4096
@@ -222,10 +227,12 @@ class MollifiedGreen:
                                * ((shell * phi) @ weights))
 
         self._grid = np.linspace(0.0, self.eps, self.GRID_POINTS)
-        self._profile = self.exact_radial(self._grid)
         slope = self.far_scale * self._base_slope(self.eps)
-        self._spline = CubicSpline(self._grid, self._profile,
-                                   bc_type=((1, 0.0), (1, slope)))
+        spline = CubicSpline(self._grid, self.exact_radial(self._grid),
+                             bc_type=((1, 0.0), (1, slope)))
+        # rows c0..c3 of the interval cubics, highest power first
+        self._coef = tuple(np.ascontiguousarray(row) for row in spline.c)
+        self._knot_scale = (self.GRID_POINTS - 1) / self.eps
 
     # -- exact panel convolution (reference evaluator)
 
@@ -298,6 +305,23 @@ class MollifiedGreen:
         g = float(self.base.radial(r))
         return -kap * g if self.dim == 1 else -(kap + 1.0 / r) * g
 
+    def _spline_read(self, r: np.ndarray) -> np.ndarray:
+        """The clamped spline at radii 0 <= r < eps.
+
+        The interval of r is floor(r / h) on the uniform grid, moved by at
+        most one knot so that grid[i] <= r < grid[i + 1] holds as in
+        scipy's search; the cubic is summed as scipy's evaluator sums it.
+        """
+        grid = self._grid
+        i = (r * self._knot_scale).astype(np.intp)
+        np.minimum(i, self.GRID_POINTS - 2, out=i)
+        i -= r < grid[i]
+        i += r >= grid[i + 1]
+        s = r - grid[i]
+        s2 = s * s
+        c0, c1, c2, c3 = (row[i] for row in self._coef)
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
     def radial(self, r) -> np.ndarray:
         """Kernel value at radius r: the spline inside eps, far_scale
         times the sharp kernel from eps to support_radius, zero beyond."""
@@ -305,7 +329,7 @@ class MollifiedGreen:
         rr = r_in.reshape(-1)
         out = np.zeros(rr.shape)
         inner = rr < self.eps
-        out[inner] = self._spline(rr[inner])
+        out[inner] = self._spline_read(rr[inner])
         outer = ~inner & (rr <= self.support_radius)
         out[outer] = self.far_scale * self.base.radial(rr[outer])
         return np.maximum(out, 0.0).reshape(r_in.shape)

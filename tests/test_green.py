@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import i0, k0
 
 from flowsilt.green import (
@@ -225,6 +226,30 @@ def test_spline_reader_tracks_exact_profile():
         fast = moll.radial(radii)
         assert np.max(np.abs(exact - fast) / exact) < 1e-10, dim
         assert float(moll.radial(moll.support_radius + 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0.4, 0.05])
+def test_spline_read_equals_scipy_spline(dim, eps):
+    """The direct-index read inside eps is bit for bit the clamped
+    CubicSpline of the exact profile on the kernel's own grid: at every
+    knot below eps, at both float neighbours of each knot, at zero and at
+    uniform radii."""
+    base = GreenFunction(iso_model(dim, 1.0), lam=1.0)
+    moll = MollifiedGreen(base, eps)
+    grid = moll._grid
+    slope = moll.far_scale * moll._base_slope(moll.eps)
+    spline = CubicSpline(grid, moll.exact_radial(grid),
+                         bc_type=((1, 0.0), (1, slope)))
+    knots = grid[:-1]
+    rng = np.random.default_rng(dim)
+    radii = np.concatenate([
+        [0.0], knots, np.nextafter(knots, -np.inf),
+        np.nextafter(knots, np.inf), rng.uniform(0.0, eps, size=10 ** 4)])
+    radii = radii[(radii >= 0.0) & (radii < eps)]
+    fast = moll.radial(radii)
+    ref = spline(radii)
+    assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

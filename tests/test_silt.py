@@ -135,7 +135,7 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("block_pairs", [1 << 18, 40])
+@pytest.mark.parametrize("block_pairs", [silt.BLOCK_PAIRS, 40])
 def test_streaming_pass_matches_dense_pair_grid(dim, block_pairs, monkeypatch):
     """Column totals, super-diagonal and diagonal of the streaming pass
     against the dense radius tensor, with a shift u != 0 and a kernel
@@ -372,3 +372,126 @@ def test_study_csv_layout(tmp_path):
     assert lines[0] == "eps_i,eps_j,L2_distance,stderr"
     assert len(lines) == 3
     assert [float(lines[1].split(",")[0])] == [0.4]
+
+
+# ---------------------------------------------------------------------------
+# frozen values: the pair pass and the kernel reads change no bit
+
+def _a08_replicate():
+    """One replicate in the shape of A08 (bm1d, n=16, horizon 0.5) at
+    sub_steps 4: 33 snapshots, ending in a small tail."""
+    result = simulate_ensemble(BM1, InitialMeasureSpec.point((0.0,), 1.0),
+                               n=16, horizon=0.5, seed=808, replicates=1,
+                               sub_steps=4, record="full")
+    return result.trajectory(0)
+
+
+def _lattice_3d():
+    pts = np.linspace(-0.525, 0.525, 4)
+    atoms = [((x, y, z), 1.0 / 64.0) for x in pts for y in pts for z in pts]
+    return InitialMeasureSpec.from_atoms(atoms)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_tanaka_components_frozen():
+    comp = tanaka_decomposition(_a08_replicate(), bm1_kernel(), 1.0, 0.5)
+    assert _hex([comp.gamma, comp.double_point, comp.lambda_term,
+                 comp.boundary_term, comp.stochastic_term,
+                 comp.renormalized, comp.ito_residual]) == [
+        "0x1.06e9cbb3e761ap-6", "0x1.014f063f99f30p-4",
+        "0x1.f5617b411e1aap-8", "0x1.d1f0acfb5a802p-9",
+        "-0x1.7423e9234367cp-5", "-0x1.7f2926a540353p-5",
+        "-0x1.649310d357460p-8"]
+
+
+def test_eps_study_d1_frozen():
+    study = epsilon_convergence_study(
+        BM1, InitialMeasureSpec.point((0.0,), 1.0), 32, 0.5, 1.0, (0.0,),
+        (0.4, 0.2, 0.1, 0.05), replicates=2, seed=11, sub_steps=1)
+    assert _hex(study.renormalized) == [
+        "-0x1.51ac07151242ap-4", "-0x1.5796e67ef0612p-4",
+        "-0x1.5367e46f3c704p-4", "-0x1.4926d00f99769p-4",
+        "-0x1.e9aca29cc9c74p-5", "-0x1.fdf05b95acd66p-5",
+        "-0x1.03ea8c43e2e5dp-4", "-0x1.0bce1408fe0e4p-4"]
+    assert _hex(study.double_points) == [
+        "0x1.d0b1a80a052f3p-4", "0x1.dc869afe30f55p-4",
+        "0x1.e16ede271e838p-4", "0x1.e39718f27db42p-4",
+        "0x1.52da4b0f12f62p-4", "0x1.5bbe179e2aabdp-4",
+        "0x1.5f9149ee6dd1ap-4", "0x1.6155d07701b3cp-4"]
+    assert _hex(study.small_ball) == ["-0x1.29ddfb3c9b5e0p-4",
+                                      "-0x1.1dcc2eef83331p-4"]
+
+
+@pytest.mark.filterwarnings("ignore:Degrees of freedom")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_eps_study_d3_frozen():
+    """One replicate of the benchmark's A10-shaped d=3 study."""
+    model = CoefficientModel.constant(b=(1.0, 1.0, 1.0), c=np.eye(3))
+    study = epsilon_convergence_study(
+        model, _lattice_3d(), 256, 0.0625, 1.0, np.zeros(3),
+        (0.4, 0.2, 0.1, 0.05), replicates=1, seed=77, sub_steps=1)
+    assert _hex(study.renormalized) == [
+        "-0x1.a3f987e45367ap-9", "-0x1.c4fa19c18ab1bp-9",
+        "-0x1.ffbf0270d6170p-9", "-0x1.3c8fac01e0400p-8"]
+    assert _hex(study.double_points) == [
+        "0x1.f5b655d68f3fap-9", "0x1.17d9ff5477a2ap-8",
+        "0x1.3c27530f4d044p-8", "0x1.7aba06ed29233p-8"]
+
+
+# one MollifiedGreen.radial call per non-empty same-time block and per
+# strict block, as the pass read them before blocks were filled
+UNFILLED_RADIAL_CALLS = 65
+
+
+def test_filled_blocks_cut_kernel_calls(monkeypatch):
+    traj = _a08_replicate()
+    kern = bm1_kernel()
+    calls = []
+    radial = MollifiedGreen.radial
+
+    def counting(self, r):
+        calls.append(np.size(r))
+        return radial(self, r)
+
+    monkeypatch.setattr(MollifiedGreen, "radial", counting)
+    tanaka_decomposition(traj, kern, 1.0, 0.5)
+    assert 0 < len(calls) <= UNFILLED_RADIAL_CALLS // 5
+
+
+def _ragged_trajectory(dim):
+    """A frozen cloud whose sizes vary by column: snapshots wider than the
+    small block caps, empty columns inside, and an extinct tail."""
+    sizes = (48, 40, 33, 20, 9, 0, 5, 3, 0, 1, 2, 0, 0, 0)
+    rng = np.random.default_rng(dim)
+    times = np.linspace(0.0, 1.0, len(sizes))
+    positions = [rng.normal(scale=0.3, size=(k, dim)) for k in sizes]
+    return RecordedTrajectory(times=times, positions=positions,
+                              weight=1.0 / 48, n=len(sizes) - 1,
+                              sub_steps=1, model=iso_model(dim, 1.0))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_block_layout_changes_no_bit(dim, monkeypatch):
+    traj = _ragged_trajectory(dim)
+    last = len(traj.times) - 1
+    u = np.linspace(0.05, 0.15, dim)
+    kern = MollifiedGreen(GreenFunction(iso_model(dim, 1.6), 1.0, u), 0.2)
+    reads = [
+        (kern.radial, math.inf),
+        silt._gamma_read(kern, 1.0),
+        (kern.lambda_minus_l_radial, kern.eps),
+        (lambda r: (r <= 0.1) / 0.2, 0.1),
+    ]
+    runs = []
+    for block_pairs in (40, 1 << 10, silt.BLOCK_PAIRS, 1 << 30):
+        monkeypatch.setattr(silt, "BLOCK_PAIRS", block_pairs)
+        runs.append(_pair_pass(traj, u, last, strict=reads, diag=reads))
+    cells, diag = runs[0]
+    assert np.any(cells != 0.0) and np.any(diag != 0.0)
+    for other_cells, other_diag in runs[1:]:
+        assert np.array_equal(other_cells.view(np.int64),
+                              cells.view(np.int64))
+        assert np.array_equal(other_diag.view(np.int64), diag.view(np.int64))
