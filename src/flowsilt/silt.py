@@ -183,7 +183,8 @@ class PairGrid:
 # block and one temporary fit in a 2 MiB per-core L2 cache; at 2^18 they
 # do not. In a sweep of 2^15..2^18 over the ito pass, the d=3 study and
 # the d=1 eps-study (Xeon VM, 2 MiB L2 per core), 2^16 and 2^17 tied as
-# fastest on all three, and 2^18 slowed the two studies by 15-30 %.
+# fastest on all three, and 2^18 slowed the two studies by 20-35 %
+# in the median.
 BLOCK_PAIRS = 1 << 17
 
 
