@@ -124,7 +124,8 @@ class GreenFunction:
         if self.dim == 1:
             return np.exp(-kap * r) / math.sqrt(2.0 * lam * a)
         if self.dim == 3:
-            with np.errstate(divide="ignore"):
+            # a subnormal r overflows to +inf as r = 0 does
+            with np.errstate(divide="ignore", over="ignore"):
                 out = np.exp(-kap * r) / (2.0 * math.pi * a * r)
             return np.where(r == 0.0, np.inf, out)
         if self.dim == 2:
@@ -322,17 +323,23 @@ class MollifiedGreen:
         c0, c1, c2, c3 = (row[i] for row in self._coef)
         return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
-    def radial(self, r) -> np.ndarray:
+    def radial(self, r, sharp=None) -> np.ndarray:
         """Kernel value at radius r: the spline inside eps, far_scale
-        times the sharp kernel from eps to support_radius, zero beyond."""
+        times the sharp kernel from eps to support_radius, zero beyond.
+
+        sharp, when given, is ``base.radial(r)``; kernels on one base that
+        read the same radii can share it. The values are the same bits
+        either way.
+        """
         r_in = np.abs(np.asarray(r, dtype=float))
         rr = r_in.reshape(-1)
-        out = np.zeros(rr.shape)
-        inner = rr < self.eps
+        if sharp is None:
+            sharp = self.base.radial(rr)
+        out = self.far_scale * np.reshape(sharp, -1)
+        out[rr > self.support_radius] = 0.0
+        inner = np.flatnonzero(rr < self.eps)
         out[inner] = self._spline_read(rr[inner])
-        outer = ~inner & (rr <= self.support_radius)
-        out[outer] = self.far_scale * self.base.radial(rr[outer])
-        return np.maximum(out, 0.0).reshape(r_in.shape)
+        return np.maximum(out, 0.0, out=out).reshape(r_in.shape)
 
     # -- integral diagnostics
 

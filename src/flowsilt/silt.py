@@ -7,11 +7,16 @@ an estimator (the mollified resolvent, the mollifier itself, box
 indicators, the exact resolvent): column j pairs x(t_j) with all earlier
 snapshots and with itself, one block of radii at a time, so estimators
 with different kernels are coupled on the same paths by construction and
-no more than a bounded block of radii is held at once. Compactly supported
-kernels are evaluated only on the radii within their reach. The
-same-time blocks and the runs of earlier snapshots of successive columns
-are queued into filled blocks of a bounded number of radii, so a kernel
-is read once per filled block, not once per column.
+no more than a bounded block of radii is held at once. A read is a
+radial kernel with its reach (the radius beyond which it is zero), or a
+group of kernels that share one read of a common sharp kernel and give
+their rows in turn; compactly supported kernels are evaluated only on
+the radii within their reach. When every strict (earlier-time) read is
+compact, the strict radii beyond the widest reach are never formed: a
+matmul prefilter picks the candidate pairs and exact radii are formed
+only on them. The same-time blocks and the runs of earlier snapshots of
+successive columns are queued into filled blocks of a bounded number of
+radii, so a kernel is read once per filled block, not once per column.
 
 Discretization conventions, fixed across all components so the Tanaka
 identity closes at the grid level: every time integral is a left-endpoint
@@ -190,17 +195,74 @@ BLOCK_PAIRS = 1 << 17
 
 def _radii(rows: np.ndarray, cols: np.ndarray,
            shift: np.ndarray) -> np.ndarray:
-    """(len(rows), len(cols)) radii |rows_a - cols_b - shift|, summed
-    coordinate by coordinate so no (N, M, d) temporary is formed."""
-    acc = np.subtract.outer(rows[:, 0], cols[:, 0] + shift[0])
-    if rows.shape[1] == 1:
+    """Radii |row - col - shift| for points whose leading axes broadcast
+    against each other (rows[:, None] and cols[None] give every pair),
+    summed coordinate by coordinate so no (..., d) temporary is formed."""
+    acc = rows[..., 0] - (cols[..., 0] + shift[0])
+    if rows.shape[-1] == 1:
         return np.abs(acc, out=acc)
     np.square(acc, out=acc)
     tmp = np.empty_like(acc)
-    for k in range(1, rows.shape[1]):
-        np.subtract.outer(rows[:, k], cols[:, k] + shift[k], out=tmp)
+    for k in range(1, rows.shape[-1]):
+        np.subtract(rows[..., k], cols[..., k] + shift[k], out=tmp)
         acc += np.square(tmp, out=tmp)
     return np.sqrt(acc, out=acc)
+
+
+class _ReachFilter:
+    """Strict pairs within a finite reach R, built once per pass.
+
+    ``pairs`` gives the flat row-major indices of the pairs with radius at
+    most R in a block of rows against a column, and their radii exactly
+    as ``_radii`` forms them, so the result is the full block filtered by
+    ``<= R`` bit for bit. In d = 1 the block's radii are formed and
+    filtered. In d >= 2 exact radii are formed only on candidates from a
+    prefilter: with p = x - o and q = (y + u) - o centred on one origin
+    o, the score |p|^2 + |q|^2 - 2 p.q of every pair is one matmul of the
+    rows [p, |p|^2, 1] by the columns [-2 q, 1, |q|^2].
+
+    Margin: let S bound |p| and |q|, t = x - fl(y + u) (the difference
+    ``_radii`` rounds once per coordinate) and r the radius it returns.
+    To first order in the unit roundoff u_r, |r - |t|| <= (d + 3) u_r |t|,
+    centring moves p - q from t by at most 2 u_r S, and the score is
+    within ((d + 2) 4 + 2 d) u_r S^2 of |p - q|^2 whatever the summation
+    order. So r <= R implies score <= R^2 + (6 d + 8) u_r (R + S)^2, and
+    the cut R^2 + 64 d eps_mach (R + S)^2 (eps_mach = 2 u_r) has a factor
+    of more than twelve to spare in d >= 2; candidates beyond R are
+    dropped on their exact radii.
+    """
+
+    def __init__(self, flat: np.ndarray, shift: np.ndarray, reach: float):
+        self.flat, self.shift, self.reach = flat, shift, reach
+        d = flat.shape[1]
+        if d == 1:
+            return
+        origin = (flat.mean(axis=0) if flat.size else 0.0) + 0.5 * shift
+        p = flat - origin
+        q = (flat + shift) - origin
+        pn = np.einsum("ij,ij->i", p, p)
+        qn = np.einsum("ij,ij->i", q, q)
+        self._rows = np.column_stack((p, pn, np.ones_like(pn)))
+        self._cols = np.vstack((-2.0 * q.T, np.ones_like(qn), qn))
+        scale = reach + math.sqrt(max(np.max(pn, initial=0.0),
+                                      np.max(qn, initial=0.0)))
+        self._cut = (reach * reach
+                     + 64.0 * d * np.finfo(float).eps * scale * scale)
+
+    def pairs(self, rows: slice, col: slice):
+        """(indices, radii) of the pairs of flat[rows] x flat[col] within
+        reach, indices row-major in the (rows, col) block."""
+        a, b = self.flat[rows], self.flat[col]
+        if a.shape[1] == 1:
+            radii = _radii(a[:, None], b[None], self.shift).reshape(-1)
+            idx = np.flatnonzero(radii <= self.reach)
+            return idx, radii[idx]
+        score = self._rows[rows] @ self._cols[:, col]
+        idx = np.flatnonzero(score <= self._cut)
+        ia, ib = np.divmod(idx, b.shape[0])
+        radii = _radii(a[ia], b[ib], self.shift)
+        keep = np.flatnonzero(radii <= self.reach)
+        return idx[keep], radii[keep]
 
 
 def _segment_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -214,28 +276,38 @@ def _segment_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _read_sums(radii: np.ndarray, starts: np.ndarray, reads) -> np.ndarray:
-    """Per-segment kernel sums over flat radii, one row per read.
+    """Per-segment kernel sums over flat radii, one row per read row.
 
-    A read is (radial_fn, reach) with radial_fn zero beyond reach
-    (math.inf for kernels without compact support). Reads are visited by
-    falling reach, each keeping only the radii within its own reach from
-    those the one before kept, so a compact kernel never sees the far
-    pairs.
+    A read is (radial_fn, reach), one row, with radial_fn zero beyond
+    reach (math.inf for kernels without compact support), or (rows_fn,
+    reach, n): rows_fn yields n rows in turn from one call, so work they
+    share (one read of a common sharp kernel) is done once per block and
+    no more than one row is held at a time. Reads are visited by falling
+    reach, each keeping only the radii within its own reach from those
+    the one before kept, so a compact kernel never sees the far pairs.
     """
     cur = radii.reshape(-1)
-    out = np.zeros((len(reads), len(starts)))
+    first = np.cumsum([0] + [_height(read) for read in reads])
+    out = np.zeros((first[-1], len(starts)))
     held = math.inf
     for k in sorted(range(len(reads)), key=lambda k: -reads[k][1]):
-        fn, reach = reads[k]
+        fn, reach = reads[k][:2]
         if reach < held:
-            keep = cur <= reach
-            counts = _segment_sums(keep, starts).astype(np.int64)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            keep = np.flatnonzero(cur <= reach)
+            starts = np.searchsorted(keep, starts)
             cur = cur[keep]
             held = reach
-        if cur.size:
-            out[k] = _segment_sums(np.asarray(fn(cur), dtype=float), starts)
+        if not cur.size:
+            continue
+        rows = fn(cur) if len(reads[k]) > 2 else (fn(cur),)
+        for row, vals in enumerate(rows, first[k]):
+            out[row] = _segment_sums(np.asarray(vals, dtype=float), starts)
     return out
+
+
+def _height(read) -> int:
+    """The number of rows a read gives."""
+    return read[2] if len(read) > 2 else 1
 
 
 class _BlockQueue:
@@ -278,26 +350,32 @@ def _pair_pass(traj: RecordedTrajectory, u, last: int, strict=(), diag=()):
     column at a time.
 
     Returns ``(cells, diagonal)``: ``cells[k]`` is the (last+1)^2 matrix
-    with p[i, j] at i < j for strict read k, and ``diagonal[k]`` the
-    vector p[j, j] (self-pairs included) for diag read k. Column j pairs
-    x(t_j) with itself, and with the concatenated earlier snapshots in
-    pieces of whole snapshots holding at most ``BLOCK_PAIRS`` radii (one
-    snapshot when it alone is larger). The pieces are queued, same-time
-    and strict apart, into filled blocks of at most ``BLOCK_PAIRS`` radii
-    across columns, with one read per kernel per block; each block is
-    dropped after its sums are taken. Every cell sum is taken over the
-    same radii in the same order whatever the block layout, so the sums
-    do not depend on ``BLOCK_PAIRS``.
+    with p[i, j] at i < j for strict read row k, and ``diagonal[k]`` the
+    vector p[j, j] (self-pairs included) for diag read row k (see
+    ``_read_sums`` for reads and their rows). Column j pairs x(t_j) with
+    itself, and with the concatenated earlier snapshots in pieces of
+    whole snapshots holding at most ``BLOCK_PAIRS`` pairs (one snapshot
+    when it alone is larger). When every strict read is compact, a strict
+    piece keeps only its pairs within the widest strict reach (see
+    ``_ReachFilter``); the others are never formed. The pieces are
+    queued, same-time and strict apart, into filled blocks of at most
+    ``BLOCK_PAIRS`` radii across columns, with one read per kernel per
+    block; each block is dropped after its sums are taken. Every cell sum
+    is taken over the same radii in the same order whatever the block
+    layout, so the sums depend neither on ``BLOCK_PAIRS`` nor on the
+    strict radii beyond reach being formed.
     """
     pos = traj.positions[:last + 1]
     d = pos[0].shape[1]
     shift = np.zeros(d) if u is None else np.asarray(u, dtype=float).reshape(d)
     flat = np.concatenate(pos)
     off = _offsets(pos)
-    cells = np.zeros((len(strict), last + 1, last + 1))
-    diagonal = np.zeros((len(diag), last + 1))
+    cells = np.zeros((sum(map(_height, strict)), last + 1, last + 1))
+    diagonal = np.zeros((sum(map(_height, diag)), last + 1))
     strict_queue = _BlockQueue(strict, cells)
     diag_queue = _BlockQueue(diag, diagonal)
+    reach = max((read[1] for read in strict), default=math.inf)
+    near = _ReachFilter(flat, shift, reach) if reach < math.inf else None
     one_segment = np.zeros(1, dtype=np.int64)
     for j in range(last + 1):
         col = pos[j]
@@ -305,7 +383,8 @@ def _pair_pass(traj: RecordedTrajectory, u, last: int, strict=(), diag=()):
         if width == 0:
             continue
         if diag:
-            diag_queue.add(_radii(col, col, shift), one_segment, ([j],))
+            diag_queue.add(_radii(col[:, None], col[None], shift),
+                           one_segment, ([j],))
         if not strict:
             continue
         cap = max(1, BLOCK_PAIRS // width)
@@ -314,10 +393,16 @@ def _pair_pass(traj: RecordedTrajectory, u, last: int, strict=(), diag=()):
             hi = lo + 1
             while hi < j and off[hi + 1] - off[lo] <= cap:
                 hi += 1
-            if off[hi] > off[lo]:
-                starts = (off[lo:hi] - off[lo]) * width
-                strict_queue.add(_radii(flat[off[lo]:off[hi]], col, shift),
-                                 starts, (np.arange(lo, hi), [j] * (hi - lo)))
+            starts = (off[lo:hi] - off[lo]) * width
+            if near is None:
+                radii = _radii(flat[off[lo]:off[hi], None], col[None], shift)
+            else:
+                idx, radii = near.pairs(slice(off[lo], off[hi]),
+                                        slice(off[j], off[j + 1]))
+                starts = np.searchsorted(idx, starts)
+            if radii.size:
+                strict_queue.add(radii, starts,
+                                 (np.arange(lo, hi), [j] * (hi - lo)))
             lo = hi
     strict_queue.flush()
     diag_queue.flush()
@@ -469,6 +554,22 @@ def _small_ball_reads(base: GreenFunction, h: float):
     return [box(h), box(0.5 * h), box(0.25 * h)], [(base.radial, math.inf)]
 
 
+def _same_time_rows(kernels: Sequence[MollifiedGreen], with_sharp: bool):
+    """One same-time read of kernels on a common base: the base's sharp
+    kernel is read once per block, each kernel's row is derived from it,
+    and the sharp row itself follows when with_sharp (the small-ball
+    exact read)."""
+    base = kernels[0].base
+
+    def rows(r):
+        sharp = base.radial(r)
+        for kern in kernels:
+            yield kern.radial(r, sharp)
+        if with_sharp:
+            yield sharp
+    return rows, math.inf, len(kernels) + with_sharp
+
+
 def _small_ball_value(boxes: np.ndarray, diag: np.ndarray, dt: float) -> float:
     b1, b2, b3 = (dt * dt * float(cells.sum()) for cells in boxes)
     gamma0 = (b1 - 6.0 * b2 + 8.0 * b3) / 3.0
@@ -528,11 +629,9 @@ def epsilon_convergence_study(model: CoefficientModel,
     sball = np.zeros(replicates) if model.dim == 1 else None
 
     strict = [_gamma_read(kern, alpha_sim) for kern in kernels]
-    diag = [(kern.radial, math.inf) for kern in kernels]
+    diag = [_same_time_rows(kernels, sball is not None)]
     if sball is not None:
-        box_reads, base_read = _small_ball_reads(base, SMALL_BALL_H)
-        strict += box_reads
-        diag += base_read
+        strict += _small_ball_reads(base, SMALL_BALL_H)[0]
 
     for r in range(replicates):
         traj = result.trajectory(r)

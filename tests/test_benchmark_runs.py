@@ -32,3 +32,20 @@ def test_benchmark_workload_runs_correctly(workload: str) -> None:
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_traced_tanaka_round_reads_through_hooked_kernels() -> None:
+    """One traced ``tanaka-3d`` round: every hook finds its target and the
+    kernel reads go through the hooked ``MollifiedGreen`` methods, so a
+    read that bypasses them fails here instead of reading 0 in a trace."""
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", "tanaka-3d",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "hooks without a target" not in proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    metrics = result["metrics"]
+    assert metrics["green.radial_points"]["value"] > 0
+    assert metrics["green.radial_s"]["value"] > 0

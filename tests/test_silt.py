@@ -441,6 +441,29 @@ def test_eps_study_d3_frozen():
         "0x1.3c27530f4d044p-8", "0x1.7aba06ed29233p-8"]
 
 
+def test_eps_study_d2_frozen():
+    """Two replicates of a d=2 study on a 3x3 lattice with a shift: every
+    strict read is compact (rho = 1) and the same-time reads share one
+    sharp read, and no small-ball read is taken."""
+    model = CoefficientModel.constant(b=(1.0, 1.0), c=np.eye(2))
+    pts = np.linspace(-0.3, 0.3, 3)
+    initial = InitialMeasureSpec.from_atoms(
+        [((x, y), 1.0 / 9.0) for x in pts for y in pts])
+    study = epsilon_convergence_study(
+        model, initial, 64, 0.25, 1.0, np.array([0.05, -0.1]),
+        (0.4, 0.2, 0.1, 0.05), replicates=2, seed=21, sub_steps=1)
+    assert _hex(study.renormalized) == [
+        "-0x1.d081632674b77p-6", "-0x1.d8976c75f5f90p-6",
+        "-0x1.db98226617b54p-6", "-0x1.d6981fd44d195p-6",
+        "-0x1.b70934c23d13fp-8", "-0x1.cba4700b33608p-8",
+        "-0x1.d16bc26a9e417p-8", "-0x1.c35be889ceacap-8"]
+    assert _hex(study.double_points) == [
+        "0x1.53052566c5818p-5", "0x1.5f29e1f3930cdp-5",
+        "0x1.61cd7c7aeb8aap-5", "0x1.623f7b1e97bb6p-5",
+        "0x1.fd04967e041dcp-8", "0x1.0c8ba43653bbap-7",
+        "0x1.0f9601ae6375dp-7", "0x1.1018ecf5f5d68p-7"]
+
+
 # one MollifiedGreen.radial call per non-empty same-time block and per
 # strict block, as the pass read them before blocks were filled
 UNFILLED_RADIAL_CALLS = 65
@@ -495,3 +518,109 @@ def test_block_layout_changes_no_bit(dim, monkeypatch):
         assert np.array_equal(other_cells.view(np.int64),
                               cells.view(np.int64))
         assert np.array_equal(other_diag.view(np.int64), diag.view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("centre", [0.0, 1e3, 1e6])
+def test_reach_filter_equals_filtered_full_radii(dim, centre):
+    """The strict pairs within reach are the full block's radii filtered
+    by <= R, bit for bit in indices and radii: on a ragged cloud with
+    empty columns moved to centre, with a ring of points at distance
+    about R from one point, and at reaches that sit exactly on a formed
+    radius and one ulp either side of it."""
+    traj = _ragged_trajectory(dim)
+    shift = np.linspace(0.05, 0.15, dim)
+    rng = np.random.default_rng(10 + dim)
+    dirs = rng.normal(size=(64, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    target = traj.positions[0][0] + shift
+    ring = target + 0.2 * dirs
+    positions = [ring] + traj.positions
+    positions = [p + centre for p in positions]
+    flat = np.concatenate(positions)
+    off = silt._offsets(positions)
+    ring_radii = silt._radii(flat[:64], flat[64][None], shift)
+    r0 = float(np.sort(ring_radii)[32])
+    for reach in (np.nextafter(r0, 0.0), r0, np.nextafter(r0, np.inf)):
+        filt = silt._ReachFilter(flat, shift, reach)
+        kept = dropped = 0
+        for j in range(1, len(positions)):
+            col = slice(off[j], off[j + 1])
+            for rows in [slice(off[i], off[i + 1]) for i in range(j)] + [
+                    slice(0, off[j])]:
+                full = silt._radii(flat[rows, None], flat[None, col],
+                                   shift).reshape(-1)
+                ref = np.flatnonzero(full <= reach)
+                idx, radii = filt.pairs(rows, col)
+                assert np.array_equal(idx, ref)
+                assert np.array_equal(radii.view(np.int64),
+                                      full[ref].view(np.int64))
+                kept += ref.size
+                dropped += full.size - ref.size
+        assert kept > 0 and dropped > 0
+    assert np.any(ring_radii == r0)
+
+
+def _piecewise_radial(kern, r):
+    """The mollified read assembled piece by piece: the spline below eps,
+    the scaled sharp kernel up to the support radius, zero beyond."""
+    out = np.zeros(r.shape)
+    inner = r < kern.eps
+    out[inner] = kern._spline_read(r[inner])
+    outer = ~inner & (r <= kern.support_radius)
+    out[outer] = kern.far_scale * kern.base.radial(r[outer])
+    return np.maximum(out, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_same_time_rows_equal_single_kernel_reads(dim):
+    """Each row of the shared same-time read is bit for bit the kernel's
+    own read and the piecewise read, and the sharp row the base read, at
+    r = 0, at a subnormal radius, at each eps, at each support radius and
+    one ulp either side, and beyond every support; no read warns."""
+    base = GreenFunction(iso_model(dim, 2.0), 1.0)
+    kernels = [MollifiedGreen(base, e) for e in (0.4, 0.2, 0.1, 0.05)]
+    marks = [k.eps for k in kernels] + [k.support_radius for k in kernels]
+    widest = max(k.support_radius for k in kernels)
+    r = np.concatenate([
+        [0.0, 5e-324], marks, np.nextafter(marks, 0.0),
+        np.nextafter(marks, np.inf), np.linspace(0.0, widest, 1001),
+        [widest * 1.5, widest * 4.0, 1e3]])
+    for with_sharp in (False, True):
+        fn, reach, height = silt._same_time_rows(kernels, with_sharp)
+        assert reach == math.inf
+        rows = list(fn(r))
+        assert len(rows) == height == len(kernels) + with_sharp
+        for kern, row in zip(kernels, rows):
+            assert np.array_equal(row, kern.radial(r))
+            assert np.array_equal(row.view(np.int64),
+                                  kern.radial(r).view(np.int64))
+            assert np.array_equal(row.view(np.int64),
+                                  _piecewise_radial(kern, r).view(np.int64))
+        if with_sharp:
+            assert np.array_equal(rows[-1], base.radial(r))
+    for kern in kernels:
+        beyond = kern.radial(np.nextafter(kern.support_radius, np.inf))
+        assert float(beyond) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_strict_radii_beyond_reach_change_no_bit(dim, monkeypatch):
+    """Compact strict reads alone (only the pairs within the widest reach
+    are formed) give the cells that the same reads give next to an
+    infinite-reach read (every strict radius formed), bit for bit."""
+    traj = _ragged_trajectory(dim)
+    last = len(traj.times) - 1
+    u = np.linspace(0.05, 0.15, dim)
+    kern = MollifiedGreen(GreenFunction(iso_model(dim, 1.0), 1.0, u), 0.2)
+    compact = [silt._gamma_read(kern, kern.base.alpha),
+               (lambda r: (r <= 0.1) / 0.2, 0.1)]
+    assert compact[0][1] == kern.eps   # rho = 1: compact
+    everything = compact + [(np.zeros_like, math.inf)]
+    for block_pairs in (40, silt.BLOCK_PAIRS):
+        monkeypatch.setattr(silt, "BLOCK_PAIRS", block_pairs)
+        near, _ = _pair_pass(traj, u, last, strict=compact)
+        full, _ = _pair_pass(traj, u, last, strict=everything)
+        assert np.any(near != 0.0)
+        assert np.array_equal(near.view(np.int64), full[:2].view(np.int64))
