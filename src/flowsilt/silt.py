@@ -193,6 +193,13 @@ class PairGrid:
 BLOCK_PAIRS = 1 << 17
 
 
+# pairs scored per prefilter matmul. OpenBLAS runs a gemm of m n k <= 2^18
+# on the calling thread, and 2^15 pairs by d + 2 <= 5 terms stay below
+# that; with whole pieces a second BLAS thread doubled the CPU time of the
+# d=3 study (0.28 -> 0.61 s a round on a 2-core VM) at no gain in wall time.
+SCORE_PAIRS = 1 << 15
+
+
 def _radii(rows: np.ndarray, cols: np.ndarray,
            shift: np.ndarray) -> np.ndarray:
     """Radii |row - col - shift| for points whose leading axes broadcast
@@ -218,8 +225,9 @@ class _ReachFilter:
     ``<= R`` bit for bit. In d = 1 the block's radii are formed and
     filtered. In d >= 2 exact radii are formed only on candidates from a
     prefilter: with p = x - o and q = (y + u) - o centred on one origin
-    o, the score |p|^2 + |q|^2 - 2 p.q of every pair is one matmul of the
-    rows [p, |p|^2, 1] by the columns [-2 q, 1, |q|^2].
+    o, the score |p|^2 + |q|^2 - 2 p.q of every pair is a matmul of the
+    rows [p, |p|^2, 1] by the columns [-2 q, 1, |q|^2], taken over at most
+    ``SCORE_PAIRS`` pairs at a time.
 
     Margin: let S bound |p| and |q|, t = x - fl(y + u) (the difference
     ``_radii`` rounds once per coordinate) and r the radius it returns.
@@ -257,9 +265,15 @@ class _ReachFilter:
             radii = _radii(a[:, None], b[None], self.shift).reshape(-1)
             idx = np.flatnonzero(radii <= self.reach)
             return idx, radii[idx]
-        score = self._rows[rows] @ self._cols[:, col]
-        idx = np.flatnonzero(score <= self._cut)
-        ia, ib = np.divmod(idx, b.shape[0])
+        m = b.shape[0]
+        scored, cols = self._rows[rows], self._cols[:, col]
+        step = max(1, SCORE_PAIRS // max(m, 1))
+        idx = [np.zeros(0, dtype=np.intp)]
+        for lo in range(0, scored.shape[0], step):
+            score = scored[lo:lo + step] @ cols
+            idx.append(np.flatnonzero(score <= self._cut) + lo * m)
+        idx = np.concatenate(idx)
+        ia, ib = np.divmod(idx, m)
         radii = _radii(a[ia], b[ib], self.shift)
         keep = np.flatnonzero(radii <= self.reach)
         return idx[keep], radii[keep]
