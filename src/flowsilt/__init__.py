@@ -13,10 +13,9 @@ from .green import (GreenFunction, GreenUsageError, MollifiedGreen,
 from .harness import (CheckResult, ConfigError, ExperimentConfig, StatReport,
                       config_from_dict, load_config, run_experiment,
                       write_report)
-from .model import (CallableFunction, CoefficientModel, ConstantOne,
-                    GaussianBump, InitialMeasureSpec, TestFunction,
-                    ValidationReport, a_matrix, generator_L, sigma_matrix,
-                    validate_model)
+from .model import (CoefficientModel, ConstantOne, GaussianBump,
+                    InitialMeasureSpec, TestFunction, ValidationReport,
+                    a_matrix, validate_model)
 from .oracle import (FreezeLeading, MergeBlocks, MomentFormula,
                      OracleModelError, diagonal_restrict, dump_terms,
                      mixed_moment)
@@ -36,9 +35,8 @@ __all__ = [
     "GreenFunction", "GreenUsageError", "MollifiedGreen", "mollifier_radial",
     "CheckResult", "ConfigError", "ExperimentConfig", "StatReport",
     "config_from_dict", "load_config", "run_experiment", "write_report",
-    "CallableFunction", "CoefficientModel", "ConstantOne", "GaussianBump",
-    "InitialMeasureSpec", "TestFunction", "ValidationReport", "a_matrix",
-    "generator_L", "sigma_matrix", "validate_model",
+    "CoefficientModel", "ConstantOne", "GaussianBump", "InitialMeasureSpec",
+    "TestFunction", "ValidationReport", "a_matrix", "validate_model",
     "FreezeLeading", "MergeBlocks", "MomentFormula", "OracleModelError",
     "diagonal_restrict", "dump_terms", "mixed_moment",
     "EpsStudy", "ResolutionError", "SiltComponents",

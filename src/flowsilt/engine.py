@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .model import (CoefficientModel, ConstantOne, GaussianBump,
-                    InitialMeasureSpec, TestFunction, a_matrix, generator_L)
+                    InitialMeasureSpec, TestFunction, a_matrix)
 
 
 class SimulationDiverged(RuntimeError):
@@ -53,34 +53,32 @@ class AtomicMeasure:
 
 def generator_values(model: CoefficientModel, f: TestFunction,
                      xs: np.ndarray) -> np.ndarray:
-    """L f at many points; closed form for Gaussian bumps on constant
-    models, a per-point fallback otherwise."""
+    """L f = 0.5 * tr(a grad^2 f) at many points, in closed form for the
+    constant one and Gaussian bumps; other functions are refused."""
+    if not isinstance(f, (ConstantOne, GaussianBump)):
+        raise EngineUsageError(
+            "generator values need a Gaussian bump or the constant one"
+        )
     if xs.shape[0] == 0:
         return np.zeros(0)
     if isinstance(f, ConstantOne):
         return np.zeros(xs.shape[0])
-    if model.is_constant and isinstance(f, GaussianBump):
-        a = a_matrix(model, xs[0], xs[0], same_particle=True)
-        v = (xs - f.center) @ f.precision
-        quad = np.einsum("ai,ij,aj->a", v, a, v)
-        vals = f.value_many(xs)
-        return 0.5 * vals * (quad - np.trace(a @ f.precision))
-    return np.array([generator_L(model, f, x) for x in xs])
+    a = a_matrix(model)
+    v = (xs - f.center) @ f.precision
+    quad = np.einsum("ai,ij,aj->a", v, a, v)
+    vals = f.value_many(xs)
+    return 0.5 * vals * (quad - np.trace(a @ f.precision))
 
 
 def _flow_gradient_sums(model: CoefficientModel, f: TestFunction,
                         xs: np.ndarray, rep: np.ndarray, n_rep: int,
                         weight: float) -> np.ndarray:
-    """Per-replicate vector sum of weight * c(x)^T grad f(x), shape (R, m)."""
+    """Per-replicate vector sum of weight * c^T grad f(x), shape (R, m)."""
     m = model.flow_dim
     out = np.zeros((n_rep, m))
     if xs.shape[0] == 0:
         return out
-    grads = f.grad_many(xs)
-    if model.is_constant:
-        proj = grads @ model.c_mat  # (A, m)
-    else:
-        proj = np.stack([model.c_at(x).T @ g for x, g in zip(xs, grads)])
+    proj = f.grad_many(xs) @ model.c_mat  # (A, m)
     for col in range(m):
         out[:, col] = np.bincount(rep, weights=proj[:, col], minlength=n_rep)
     return out * weight
@@ -176,14 +174,7 @@ class Population:
         if self.alive_count:
             db = rng.normals(self._motion_keys,
                              self.substep * self._motion_stride, d) * sqdt
-            dw_here = dw[self.rep]
-            if model.is_constant:
-                self.pos += model.b_vec * db + dw_here @ model.c_mat.T
-            else:
-                for i in range(self.alive_count):
-                    x = self.pos[i]
-                    self.pos[i] = (x + model.b_at(x) * db[i]
-                                   + model.c_at(x) @ dw_here[i])
+            self.pos += model.b_vec * db + dw[self.rep] @ model.c_mat.T
         self.substep += 1
 
     def do_branch(self) -> None:

@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import i0, k0, k1
 
-from .model import CoefficientModel, a_matrix
+from .model import CoefficientModel, a_matrix, isotropic_diffusion
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _BUMP_NORM: dict[int, float] = {}
@@ -91,8 +91,6 @@ class GreenFunction:
 
     def __init__(self, model: CoefficientModel, lam: float,
                  u: Optional[np.ndarray] = None):
-        if not model.is_constant:
-            raise GreenUsageError("resolvent kernels need a constant model")
         if lam <= 0:
             raise GreenUsageError("lambda must be positive")
         self.model = model
@@ -100,14 +98,10 @@ class GreenFunction:
         self.dim = model.dim
         self.u = (np.zeros(self.dim) if u is None
                   else np.asarray(u, dtype=float).reshape(self.dim))
-        zero = np.zeros(self.dim)
-        self.a_full = a_matrix(model, zero, zero, same_particle=True)
-        diag = np.diagonal(self.a_full)
-        off = self.a_full - np.diag(diag)
-        self.isotropic = (np.allclose(diag, diag[0], rtol=1e-12, atol=1e-14)
-                          and np.allclose(off, 0.0, atol=1e-14)
-                          and diag[0] > 0)
-        self.alpha = float(diag[0]) if self.isotropic else None
+        self.a_full = a_matrix(model)
+        alpha = isotropic_diffusion(model)
+        self.isotropic = alpha is not None and alpha > 0
+        self.alpha = alpha if self.isotropic else None
         self.closed_form = self.isotropic and self.dim in (1, 2, 3)
         if self.isotropic:
             self.kappa = math.sqrt(2.0 * self.lam / self.alpha)

@@ -25,7 +25,7 @@ from .engine import (MartingaleSpec, ObservableSpec, simulate_ensemble,
 from .genealogy import Label, Topology, arrangement_count, classify_topology
 from .green import GreenFunction, MollifiedGreen
 from .model import (CoefficientModel, ConstantOne, GaussianBump,
-                    InitialMeasureSpec, validate_model)
+                    InitialMeasureSpec, a_matrix, validate_model)
 from .oracle import MomentFormula, mixed_moment
 from .rng import derive_key, uniforms
 from .silt import (MIN_TIME_POINTS, decomposition_ensemble,
@@ -104,6 +104,15 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
+def _finite(values: tuple[float, ...], where: str) -> tuple[float, ...]:
+    """Refuse NaN and infinities, which Python's json reads from NaN,
+    Infinity and out-of-range literals such as 1e400."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{where} must be finite, got "
+                          f"{', '.join(map(repr, values))}")
+    return values
+
+
 def _want(mapping: dict, key: str, kind, source: str, default=None,
           required: bool = False):
     if key not in mapping:
@@ -119,6 +128,8 @@ def _want(mapping: dict, key: str, kind, source: str, default=None,
         raise ConfigError(
             f"{source}: key '{key}' should be {kind}, got {type(value).__name__}"
         )
+    if kind is float:
+        _finite((value,), f"{source}: key '{key}'")
     return value
 
 
@@ -146,6 +157,8 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{source}: model.b must be a list of numbers and "
                           "model.c a list of rows of numbers") from err
+    _finite(b, f"{source}: model.b")
+    _finite(sum(c, ()), f"{source}: model.c")
     flow_dim = len(c[0]) if c else 0
     if (len(b) != dim or len(c) != dim or flow_dim < 1
             or any(len(r) != flow_dim for r in c)):
@@ -165,7 +178,8 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
             raise ConfigError(f"{where}: position length != dim")
         if mass <= 0:
             raise ConfigError(f"{where}: mass must be positive")
-        atoms.append((tuple(float(x) for x in pos), float(mass)))
+        atoms.append((_finite(tuple(float(x) for x in pos),
+                              f"{where}: position"), float(mass)))
 
     sim = _want(raw, "sim", dict, source, required=True)
     n = _want(sim, "n", int, source + ":sim", required=True)
@@ -196,7 +210,8 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         raise ConfigError(f"{source}:silt: lambda must be positive")
     if len(u) != dim:
         raise ConfigError(f"{source}:silt: u length != dim")
-    eps = tuple(float(e) for e in eps)
+    u = _finite(tuple(float(x) for x in u), f"{source}:silt: u")
+    eps = _finite(tuple(float(e) for e in eps), f"{source}:silt: eps")
     if not eps:
         raise ConfigError(f"{source}:silt: eps schedule must not be empty")
     if any(e <= 0 for e in eps):
@@ -223,7 +238,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         dim=dim, b=b, c=c, atoms=tuple(atoms),
         n=n, sub_steps=sub_steps, horizon=float(horizon),
         replicates=replicates, seed=seed,
-        lam=float(lam), u=tuple(float(x) for x in u), eps_schedule=eps,
+        lam=float(lam), u=u, eps_schedule=eps,
         suites=tuple(suites),
         out_dir=str(raw.get("out", "flowsilt-out")),
         threads=_want(raw, "threads", int, source, default=1),
@@ -368,8 +383,7 @@ def suite_moments(cfg: ExperimentConfig) -> list[CheckResult]:
     point = InitialMeasureSpec.point(np.zeros(cfg.dim))
     bump = GaussianBump(np.zeros(cfg.dim), np.eye(cfg.dim))
     first = mixed_moment(model, 1, [bump], [1.0], point)
-    a0 = model.c_at(np.zeros(cfg.dim)) @ model.c_at(np.zeros(cfg.dim)).T
-    a0 = a0 + np.diag(model.b_at(np.zeros(cfg.dim)) ** 2)
+    a0 = a_matrix(model)
     expected = float(np.linalg.det(np.eye(cfg.dim) + a0) ** -0.5)
     checks.append(_flag_check(
         "moments.order1_gaussian", abs(first - expected) <= 1e-6,

@@ -127,10 +127,6 @@ class ModelKernels:
     """Per-particle and flow covariance blocks of a constant model."""
 
     def __init__(self, model: CoefficientModel):
-        if not model.is_constant:
-            raise OracleModelError(
-                "analytic moments require a constant-coefficient model"
-            )
         self.dim = model.dim
         self.driver = np.diag(model.b_vec.astype(float) ** 2)
         self.flow = model.c_mat @ model.c_mat.T

@@ -43,7 +43,7 @@ import numpy as np
 
 from .engine import (EnsembleResult, RecordedTrajectory, simulate_ensemble)
 from .green import GreenFunction, MollifiedGreen
-from .model import CoefficientModel, InitialMeasureSpec, a_matrix
+from .model import CoefficientModel, InitialMeasureSpec, isotropic_diffusion
 
 
 class SiltUsageError(ValueError):
@@ -71,15 +71,12 @@ class SiltComponents:
 
 def isotropic_alpha(model: CoefficientModel) -> float:
     """The scalar a with a(x, x) = alpha * I, or an error."""
-    zero = np.zeros(model.dim)
-    a = a_matrix(model, zero, zero, same_particle=True)
-    diag = np.diagonal(a)
-    if not (np.allclose(diag, diag[0], rtol=1e-12, atol=1e-14)
-            and np.allclose(a - np.diag(diag), 0.0, atol=1e-14)):
+    alpha = isotropic_diffusion(model)
+    if alpha is None:
         raise SiltUsageError(
             "self-intersection estimators need isotropic coefficients"
         )
-    return float(diag[0])
+    return alpha
 
 
 def _sim_alpha(traj: RecordedTrajectory, kernel: MollifiedGreen) -> float:

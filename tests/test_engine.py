@@ -12,6 +12,7 @@ from flowsilt.engine import (
     MartingaleSpec,
     ObservableSpec,
     SimulationDiverged,
+    generator_values,
     martingale_path,
     quadratic_variation_check,
     simulate_ensemble,
@@ -21,6 +22,8 @@ from flowsilt.model import (
     CoefficientModel,
     GaussianBump,
     InitialMeasureSpec,
+    TestFunction,
+    a_matrix,
 )
 
 BM1D = CoefficientModel.constant([1.0], [[1.0]])
@@ -181,12 +184,39 @@ def test_off_grid_horizon_rejected():
                           sub_steps=4, record="full")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_divergence_is_reported_with_location():
-    bad = CoefficientModel.from_callables(
-        1, 1, b=lambda x: np.array([np.nan]), c=lambda x: np.zeros((1, 1)))
-    with pytest.raises(SimulationDiverged, match="replicate"):
+    bad = CoefficientModel.constant([1e308], [[1e308]])
+    with pytest.raises(SimulationDiverged,
+                       match="replicate 0, root 4, grid step 2"):
         simulate_ensemble(bad, DELTA0, 4, 0.5, seed=2, replicates=1,
                           sub_steps=1, record="none")
+
+
+def test_generator_values_equal_finite_difference_trace():
+    """L f = 0.5 tr(a grad^2 f) for a bump under an anisotropic d=2 model,
+    against a Hessian from central differences of the values."""
+    model = CoefficientModel.constant([1.0, 0.5], [[1.0, 0.3], [0.2, 0.8]])
+    f = GaussianBump([0.1, -0.2], [[2.0, 0.4], [0.4, 1.0]], amplitude=1.3)
+    xs = np.array([[0.0, 0.0], [0.4, -0.5], [-0.7, 0.3]])
+    h = 1e-4
+    eye = np.eye(2) * h
+    hess = np.empty((3, 2, 2))
+    for i in range(2):
+        for j in range(2):
+            hess[:, i, j] = (f.value_many(xs + eye[i] + eye[j])
+                             - f.value_many(xs + eye[i] - eye[j])
+                             - f.value_many(xs - eye[i] + eye[j])
+                             + f.value_many(xs - eye[i] - eye[j])) / (4 * h * h)
+    expected = 0.5 * np.einsum("ij,aij->a", a_matrix(model), hess)
+    assert np.allclose(generator_values(model, f, xs), expected, atol=1e-6)
+
+
+def test_generator_values_refuse_other_functions():
+    f = TestFunction()
+    f.dim = 1
+    with pytest.raises(EngineUsageError, match="Gaussian bump"):
+        generator_values(BM1D, f, np.zeros((2, 1)))
 
 
 def test_dimension_mismatch_rejected():

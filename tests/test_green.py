@@ -293,11 +293,3 @@ def test_mollified_guards():
         MollifiedGreen(base4, 0.1)
     with pytest.raises(GreenUsageError, match="lambda"):
         GreenFunction(iso_model(1, 1.0), lam=0.0)
-
-
-def test_state_dependent_model_rejected():
-    model = CoefficientModel.from_callables(
-        dim=1, flow_dim=1,
-        b=lambda x: np.abs(x) + 1.0, c=lambda x: np.ones((1, 1)))
-    with pytest.raises(GreenUsageError, match="constant"):
-        GreenFunction(model, lam=1.0)

@@ -14,6 +14,10 @@ from flowsilt.harness import (ConfigError, StatReport, _flag_check, _z_check,
                               suite_green, write_report)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
 def base_dict() -> dict:
     return {
         "model": {"preset": "bm1d"},
@@ -65,7 +69,7 @@ def test_explicit_model_and_initial() -> None:
     assert cfg.dim == 2
     assert cfg.atoms == (((0.0, 0.0), 0.5), ((1.0, -1.0), 0.25))
     assert cfg.initial().total_mass == pytest.approx(0.75)
-    assert cfg.model().b_at([0.0, 0.0]).shape == (2,)
+    assert cfg.model().b_vec.shape == (2,)
 
 
 def test_seed_is_mandatory() -> None:
@@ -131,6 +135,23 @@ def mutate(path: str, value) -> dict:
     (mutate("model", {"dim": 1, "b": [1.0], "c": [1.0]}),
      "model.c a list of rows of numbers"),
     (mutate("sim.horizon", 0.53), "not a multiple of the grid step"),
+    # Python's json reads NaN, Infinity and 1e400 as non-finite floats
+    (mutate("model", {"dim": 1, "b": [NAN], "c": [[1.0]]}),
+     "model.b must be finite"),
+    (mutate("model", {"dim": 1, "b": [1.0], "c": [[INF]]}),
+     "model.c must be finite"),
+    (mutate("model", {"dim": 1, "b": [json.loads("1e400")], "c": [[1.0]]}),
+     "model.b must be finite"),
+    (mutate("initial", [{"position": [NAN], "mass": 1.0}]),
+     "position must be finite"),
+    (mutate("initial", [{"position": [0.0], "mass": INF}]),
+     "'mass' must be finite"),
+    (mutate("sim.horizon", INF), "'horizon' must be finite"),
+    (mutate("sim.horizon", NAN), "'horizon' must be finite"),
+    (mutate("silt.lambda", NAN), "'lambda' must be finite"),
+    (mutate("silt.eps", [0.4, NAN, 0.1]), "eps must be finite"),
+    (mutate("silt.u", [NAN]), "u must be finite"),
+    (mutate("thresholds.mean_se", NAN), "'mean_se' must be finite"),
 ])
 def test_config_rejections(raw: dict, message: str) -> None:
     with pytest.raises(ConfigError, match=message):
@@ -403,8 +424,12 @@ def test_cli_report_full_cycle(tmp_path: Path, capsys) -> None:
     ({"horizon": 0.53, "sub_steps": 4}, {},
      [["silt"], ["report", "ito"], ["eps-study"]],
      "not a multiple of the grid step"),
+    # NaN shift point: a spurious ito residual FAIL before it was refused
+    ({}, {"u": [NAN]},
+     [["validate"], ["simulate"], ["silt"], ["eps-study"], ["report", "ito"]],
+     "u must be finite"),
 ], ids=["unresolved-grid", "two-eps", "no-eps", "one-replicate",
-        "off-grid-horizon"])
+        "off-grid-horizon", "non-finite-u"])
 def test_cli_refuses_inputs_without_a_meaningful_answer(
         tmp_path: Path, capsys, sim, silt, commands, message) -> None:
     for command in commands:

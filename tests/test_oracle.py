@@ -23,7 +23,6 @@ from flowsilt.model import (
 import flowsilt.oracle
 from flowsilt.oracle import (
     MomentFormula,
-    ModelKernels,
     OracleModelError,
     _choices,
     _prepare,
@@ -164,16 +163,10 @@ def test_moment_entries_share_input_checks(entry, order, fns, times, mu0,
         entry(BM1D, order, fns, times, mu0)
 
 
-def test_oracle_rejects_state_dependent_models():
-    varying = CoefficientModel.from_callables(
-        1, 1, b=lambda x: 1.0 + 0.1 * np.tanh(x), c=lambda x: np.ones((1, 1)))
-    with pytest.raises(OracleModelError):
-        ModelKernels(varying)
-
-
 def test_oracle_rejects_plain_callables():
-    from flowsilt.model import CallableFunction
-    f = CallableFunction(lambda x: float(np.cos(x[0])), dim=1)
+    from flowsilt.model import TestFunction
+    f = TestFunction()
+    f.dim = 1
     with pytest.raises(OracleModelError, match="Gaussian"):
         mixed_moment(BM1D, 1, [f], [1.0], DELTA0)
 
