@@ -38,17 +38,7 @@ class EngineUsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# measures and test-function batch helpers
-
-
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Equal-weight atoms at one time; weight is 1/n."""
-
-    positions: np.ndarray  # (A, d)
-    weight: float
-    time: float
-
+# test-function batch helpers
 
 
 def generator_values(model: CoefficientModel, f: TestFunction,
@@ -241,10 +231,6 @@ class RecordedTrajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    def measure_at(self, t: float) -> AtomicMeasure:
-        j = self.snap_index(t)
-        return AtomicMeasure(self.positions[j], self.weight, float(self.times[j]))
-
     def snap_index(self, t: float) -> int:
         if len(self.times) == 1:
             if abs(t - self.times[0]) > 1e-9:
@@ -257,38 +243,6 @@ class RecordedTrajectory:
                 f"time {t} outside the recorded range [0, {self.times[-1]}]"
             )
         return j
-
-
-def martingale_path(trajectory: RecordedTrajectory, f: TestFunction) -> np.ndarray:
-    """Z_t(f) on the recorded grid, with a left-endpoint time integral."""
-    model = trajectory.model
-    w = trajectory.weight
-    vals = np.array([w * f.value_many(p).sum() if p.shape[0] else 0.0
-                     for p in trajectory.positions])
-    lf = np.array([w * generator_values(model, f, p).sum() if p.shape[0] else 0.0
-                   for p in trajectory.positions])
-    dt = trajectory.dt
-    z = np.empty_like(vals)
-    z[0] = 0.0
-    z[1:] = vals[1:] - vals[0] - dt * np.cumsum(lf[:-1])
-    return z
-
-
-def quadratic_variation_check(result: "EnsembleResult",
-                              f: TestFunction) -> tuple[float, float]:
-    """(empirical E Z_T^2, predicted bracket mean) for a test function
-    registered as a martingale observable of the run."""
-    acc = result.martingales.get(_mart_name(result, f))
-    if acc is None:
-        raise EngineUsageError("test function was not registered")
-    return float(np.mean(acc.z_final ** 2)), float(np.mean(acc.bracket))
-
-
-def _mart_name(result: "EnsembleResult", f: TestFunction) -> str:
-    for name, ff in result.martingale_functions.items():
-        if ff is f:
-            return name
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +295,6 @@ class EnsembleResult:
     mass_path: Optional[np.ndarray] = None          # (J+1, R)
     observables: dict = field(default_factory=dict)  # name -> (times, (R, T))
     martingales: dict = field(default_factory=dict)  # name -> MartingaleAccum
-    martingale_functions: dict = field(default_factory=dict)
     snapshots: Optional[list[Snapshot]] = None
     _model: Optional[CoefficientModel] = None
 
@@ -381,7 +334,6 @@ def _merge_results(parts: list[EnsembleResult]) -> EnsembleResult:
             np.concatenate([p.martingales[name].bracket for p in parts]),
             np.concatenate([p.martingales[name].lf_integral for p in parts]),
         )
-        out.martingale_functions[name] = head.martingale_functions[name]
     if head.snapshots is not None:
         merged = []
         for j in range(len(head.snapshots)):
@@ -407,11 +359,13 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
 
     record: "none" (final state only), "mass" (per-sub-step mass path),
     or "full" (positions at every sub-step, for path functionals).
-    The horizon must be a multiple of the grid step 1/n. Replicate k
-    draws from the streams of replicate replicate_offset + k,
-    so one replicate of a larger run can be replayed alone. workers > 1
-    splits the replicates into that many chunks, runs them one after
-    another in this process and merges the results; no number changes.
+    Each martingale spec's Z_T(f) and predicted bracket are read from
+    ``result.martingales[spec.name]``. The horizon must be a multiple
+    of the grid step 1/n. Replicate k draws from the streams of
+    replicate replicate_offset + k, so one replicate of a larger run can
+    be replayed alone. workers > 1 splits the replicates into that many
+    chunks, runs them one after another in this process and merges the
+    results; no number changes.
     """
     if record not in ("none", "mass", "full"):
         raise EngineUsageError(f"unknown record mode {record!r}")
@@ -491,7 +445,6 @@ def simulate_ensemble(model: CoefficientModel, initial: InitialMeasureSpec,
         split_count=pop.split_count, death_count=pop.death_count,
         times=times, mass_path=mass_path,
         observables=obs_values, martingales=mart,
-        martingale_functions={m.name: m.f for m in martingales},
         snapshots=snaps,
         _model=model,
     )

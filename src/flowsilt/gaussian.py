@@ -129,25 +129,3 @@ class GaussianFunctional:
         for p, f in enumerate(factors):
             prec[p * dim:(p + 1) * dim, p * dim:(p + 1) * dim] = f.precision
         return cls(k, dim, amp, mean, prec)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at points shaped (..., arity, dim)."""
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(x.shape[:-2] + (self.arity * self.dim,))
-        return value_params(self.amplitude, self.mean, self.precision, flat)
-
-    def convolve(self, cov: np.ndarray) -> "GaussianFunctional":
-        amp, mean, prec = convolve_params(self.amplitude, self.mean,
-                                          self.precision, cov)
-        return GaussianFunctional(self.arity, self.dim, float(amp), mean, prec)
-
-    def merge_blocks(self, i: int, j: int) -> "GaussianFunctional":
-        """Identify block j with block i (0-based), dropping one argument."""
-        e = merge_embedding(self.arity, self.dim, i, j)
-        amp, mean, prec = pullback_params(self.amplitude, self.mean,
-                                          self.precision, e)
-        return GaussianFunctional(self.arity - 1, self.dim, float(amp), mean, prec)
-
-    def sup_norm(self) -> float:
-        """Supremum of |f|; the peak sits at any least-squares mean point."""
-        return abs(self.amplitude)

@@ -14,8 +14,7 @@ Quadruples of labels alive at a common generation fall into six shapes:
     NESTED_PAIRS    one root; the first split separates two pairs
     CATERPILLAR     one root; splits peel off one particle at a time
 
-Triples fall into three shapes by the same logic. Classification reads
-only label prefixes, never particle lifetimes.
+Classification reads only label prefixes, never particle lifetimes.
 """
 
 from __future__ import annotations
@@ -27,21 +26,12 @@ from typing import Optional, Sequence
 
 
 class Topology(Enum):
-    # quadruple shapes
     FOUR_TREES = "I"
     ONE_PAIR = "II"
     TWO_PAIRS = "III"
     TRIPLE_PLUS_ONE = "IV"
     NESTED_PAIRS = "VA"
     CATERPILLAR = "VB"
-    # triple shapes
-    THREE_TREES = "T1"
-    PAIR_PLUS_ONE = "T2"
-    SINGLE_TREE_TRIPLE = "T3"
-
-    @property
-    def is_quadruple(self) -> bool:
-        return self.value in ("I", "II", "III", "IV", "VA", "VB")
 
 
 @dataclass(frozen=True)
@@ -62,17 +52,6 @@ class Label:
 
     def __repr__(self):
         return f"({self.root};{','.join(str(b) for b in self.bits)})"
-
-
-def ancestor_at(label: Label, generation: int) -> Label:
-    """Drop the last ``generation`` bits."""
-    if not 0 <= generation <= len(label):
-        raise ValueError(
-            f"generation {generation} out of range for label of depth {len(label)}"
-        )
-    if generation == 0:
-        return label
-    return Label(label.root, label.bits[:len(label.bits) - generation])
 
 
 def mrca(a: Label, b: Label) -> Optional[tuple[Label, int]]:
@@ -150,40 +129,20 @@ def _classify_quadruple(labels: Sequence[Label]) -> tuple[Topology, tuple[int, .
     return Topology.CATERPILLAR, (r1, dd[0], dd[2])
 
 
-def _classify_triple(labels: Sequence[Label]) -> tuple[Topology, tuple[int, ...]]:
-    groups: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels):
-        groups.setdefault(lab.root, []).append(idx)
-    sizes = sorted(len(g) for g in groups.values())
-    if sizes == [1, 1, 1]:
-        return Topology.THREE_TREES, ()
-    if sizes == [1, 2]:
-        pair = next(g for g in groups.values() if len(g) == 2)
-        r = _pair_depth(labels[pair[0]], labels[pair[1]])
-        return Topology.PAIR_PLUS_ONE, (r,)
-    d01 = _pair_depth(labels[0], labels[1])
-    d02 = _pair_depth(labels[0], labels[2])
-    d12 = _pair_depth(labels[1], labels[2])
-    depths = sorted((d01, d02, d12))
-    return Topology.SINGLE_TREE_TRIPLE, (depths[0], depths[2])
-
-
 def classify_topology(labels: Sequence[Label]) -> tuple[Topology, tuple[int, ...]]:
-    """Classify a tuple of 3 or 4 distinct same-depth labels.
+    """Classify a quadruple of distinct same-depth labels.
 
     Returns the shape together with the split depths, sorted ascending.
     """
     labels = list(labels)
-    if len(labels) not in (3, 4):
-        raise ValueError("classification handles triples and quadruples only")
+    if len(labels) != 4:
+        raise ValueError("classification handles quadruples only")
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     depth = len(labels[0])
     if any(len(lab) != depth for lab in labels):
         raise ValueError("labels must share a common depth")
-    if len(labels) == 4:
-        return _classify_quadruple(labels)
-    return _classify_triple(labels)
+    return _classify_quadruple(labels)
 
 
 # Ordered-assignment multiplicities for quadruple shapes, relative to an
@@ -203,6 +162,4 @@ _ARRANGEMENTS = {
 
 def arrangement_count(topology: Topology) -> int:
     """Ordered-assignment multiplicity of a quadruple shape."""
-    if not topology.is_quadruple:
-        raise ValueError(f"{topology.name} is a triple shape; counts apply to quadruples")
     return _ARRANGEMENTS[topology]

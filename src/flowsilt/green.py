@@ -3,11 +3,11 @@
 For a constant-coefficient model the single-particle motion is a Gaussian
 diffusion with covariance rate a = diag(b^2) + c c'. The resolvent kernel
 at rate lambda is the exponentially weighted time integral of its
-transition density. With isotropic a the kernel has a closed form: an
+transition density. Kernels are built for isotropic a in one, two and
+three dimensions only, where the kernel has a closed form: an
 exponential in one and three dimensions, the Bessel function K0 in two.
-Anisotropic kernels are computed by whitening plus a one-dimensional
-adaptive quadrature in time, which also serves as the reference the
-closed forms are checked against.
+A one-dimensional adaptive quadrature in time is the independent
+reference the closed forms are checked against.
 
 Mollification convolves the kernel with the standard bump supported on
 the ball of radius eps. Outside the bump support the convolution is
@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import i0, k0, k1
 
-from .model import CoefficientModel, a_matrix, isotropic_diffusion
+from .model import CoefficientModel, isotropic_diffusion
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _BUMP_NORM: dict[int, float] = {}
@@ -61,14 +61,9 @@ def mollifier_radial(r, eps: float, d: int):
 
 
 def _unit_radial(r: float, d: int, lam: float) -> float:
-    """Resolvent kernel of the unit-covariance diffusion at radius r."""
+    """Resolvent kernel of the unit-covariance diffusion at radius r,
+    by quadrature of the transition density in time."""
     kap = math.sqrt(2.0 * lam)
-    if d == 1:
-        return math.exp(-kap * r) / kap
-    if d == 3:
-        if r == 0.0:
-            return math.inf
-        return math.exp(-kap * r) / (2.0 * math.pi * r)
     if r == 0.0 and d >= 2:
         return math.inf
     # adaptive quadrature in v = sqrt(t); the integrand is smooth and the
@@ -87,32 +82,32 @@ def _unit_radial(r: float, d: int, lam: float) -> float:
 
 
 class GreenFunction:
-    """Resolvent kernel of a constant model, centered at the shift point."""
+    """Resolvent kernel of an isotropic constant model in dimension 1, 2
+    or 3, centered at the shift point."""
 
     def __init__(self, model: CoefficientModel, lam: float,
                  u: Optional[np.ndarray] = None):
         if lam <= 0:
             raise GreenUsageError("lambda must be positive")
+        alpha = isotropic_diffusion(model)
+        if alpha is None or alpha <= 0 or model.dim not in (1, 2, 3):
+            raise GreenUsageError(
+                "resolvent kernels are built for isotropic constant "
+                "coefficients, a(x, x) = alpha I with alpha > 0, in "
+                f"dimension 1, 2, or 3; got dimension {model.dim} and "
+                + ("a(x, x) not a multiple of I" if alpha is None
+                   else f"alpha = {alpha:.6g}"))
         self.model = model
         self.lam = float(lam)
         self.dim = model.dim
         self.u = (np.zeros(self.dim) if u is None
                   else np.asarray(u, dtype=float).reshape(self.dim))
-        self.a_full = a_matrix(model)
-        alpha = isotropic_diffusion(model)
-        self.isotropic = alpha is not None and alpha > 0
-        self.alpha = alpha if self.isotropic else None
-        self.closed_form = self.isotropic and self.dim in (1, 2, 3)
-        if self.isotropic:
-            self.kappa = math.sqrt(2.0 * self.lam / self.alpha)
-
-    # -- radial access (isotropic only)
+        self.alpha = alpha
+        self.kappa = math.sqrt(2.0 * self.lam / self.alpha)
 
     def radial(self, r) -> np.ndarray:
-        """Kernel value at radius r >= 0; +inf at r = 0 when d >= 2.
-        Closed form in d = 1, 2, 3, the time quadrature otherwise."""
-        if not self.isotropic:
-            raise GreenUsageError("radial form needs isotropic coefficients")
+        """Kernel value at radius r >= 0 in closed form; +inf at r = 0
+        when d >= 2."""
         r = np.abs(np.asarray(r, dtype=float))
         lam, a, kap = self.lam, self.alpha, self.kappa
         if self.dim == 1:
@@ -122,14 +117,11 @@ class GreenFunction:
             with np.errstate(divide="ignore", over="ignore"):
                 out = np.exp(-kap * r) / (2.0 * math.pi * a * r)
             return np.where(r == 0.0, np.inf, out)
-        if self.dim == 2:
-            return k0(kap * r) / (math.pi * a)
-        return self.quadrature_radial(r)
+        return k0(kap * r) / (math.pi * a)
 
     def quadrature_radial(self, r) -> np.ndarray:
-        """The time-quadrature route regardless of dimension (test hook)."""
-        if not self.isotropic:
-            raise GreenUsageError("radial form needs isotropic coefficients")
+        """The time-quadrature route, which shares no formula with the
+        closed forms of ``radial``."""
         a = self.alpha
         flat = np.atleast_1d(np.abs(np.asarray(r, dtype=float)))
         vals = np.array([_unit_radial(x / math.sqrt(a), self.dim, self.lam)
@@ -137,24 +129,8 @@ class GreenFunction:
         r = np.asarray(r)
         return vals.reshape(r.shape) if r.shape else vals[0]
 
-    # -- pointwise access (general constant model)
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        if self.isotropic:
-            return float(self.radial(np.linalg.norm(x - self.u)))
-        chol = np.linalg.cholesky(self.a_full)
-        w = np.linalg.solve(chol, x - self.u)
-        det_half = float(np.prod(np.diagonal(chol)))
-        rw = float(np.linalg.norm(w))
-        if rw == 0.0 and self.dim >= 2:
-            return math.inf
-        return _unit_radial(rw, self.dim, self.lam) / det_half
-
     def l1_mass(self) -> float:
         """Numeric total integral; equals 1/lambda up to quadrature error."""
-        if not self.isotropic:
-            raise GreenUsageError("mass check implemented for isotropic a")
         d = self.dim
         r_hi = self._far_radius()
 
@@ -173,11 +149,10 @@ class GreenFunction:
 class MollifiedGreen:
     """The resolvent kernel convolved with the radius-eps bump.
 
-    Supported for isotropic constant coefficients in dimensions one
-    through three, where the base kernel reduces to an exponential (d=1,
-    3) or a Bessel K0 (d=2) and the spherical average over the bump
-    support is elementary. Beyond eps the convolution is the base kernel
-    times a constant (see ``far_scale``); inside eps reads go through a
+    The base kernel is isotropic in dimension one through three, so it
+    reduces to an exponential (d=1, 3) or a Bessel K0 (d=2) and the
+    spherical average over the bump support is elementary. Beyond eps
+    the convolution is the base kernel times a constant (see ``far_scale``); inside eps reads go through a
     clamped cubic spline of the exact panel quadrature on a uniform grid.
     The spline is fitted once by scipy; a read finds its interval by
     direct index on the grid and evaluates the interval's cubic in the
@@ -191,11 +166,6 @@ class MollifiedGreen:
     def __init__(self, base: GreenFunction, eps: float):
         if eps <= 0:
             raise GreenUsageError("eps must be positive")
-        if not base.isotropic or base.dim not in (1, 2, 3):
-            raise GreenUsageError(
-                "mollified kernels are built for isotropic constant "
-                "coefficients in dimension 1, 2, or 3"
-            )
         self.base = base
         self.eps = float(eps)
         self.dim = base.dim

@@ -23,10 +23,10 @@ import numpy as np
 from .engine import (MartingaleSpec, ObservableSpec, simulate_ensemble,
                      write_replicate_csv)
 from .genealogy import Label, Topology, arrangement_count, classify_topology
-from .green import GreenFunction, MollifiedGreen
+from .green import GreenFunction, GreenUsageError, MollifiedGreen
 from .model import (CoefficientModel, ConstantOne, GaussianBump,
                     InitialMeasureSpec, a_matrix, validate_model)
-from .oracle import MomentFormula, mixed_moment
+from .oracle import build_templates, mixed_moment
 from .rng import derive_key, uniforms
 from .silt import (MIN_TIME_POINTS, decomposition_ensemble,
                    epsilon_convergence_study, write_components_csv,
@@ -104,13 +104,28 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-def _finite(values: tuple[float, ...], where: str) -> tuple[float, ...]:
-    """Refuse NaN and infinities, which Python's json reads from NaN,
-    Infinity and out-of-range literals such as 1e400."""
-    if not all(math.isfinite(v) for v in values):
+def _numbers(values: list, where: str) -> tuple[float, ...]:
+    """The entries of a JSON list as finite floats.
+
+    Refuses booleans (which Python also counts as ints), strings and
+    other non-numbers, integers beyond the float range, and NaN and the
+    infinities, which Python's json reads from NaN, Infinity and
+    out-of-range literals such as 1e400.
+    """
+    out = []
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"{where} must hold numbers only, got "
+                              f"{type(x).__name__}")
+        try:
+            out.append(float(x))
+        except OverflowError:
+            raise ConfigError(f"{where} holds an integer beyond the float "
+                              "range") from None
+    if not all(math.isfinite(v) for v in out):
         raise ConfigError(f"{where} must be finite, got "
-                          f"{', '.join(map(repr, values))}")
-    return values
+                          f"{', '.join(map(repr, out))}")
+    return tuple(out)
 
 
 def _want(mapping: dict, key: str, kind, source: str, default=None,
@@ -121,15 +136,13 @@ def _want(mapping: dict, key: str, kind, source: str, default=None,
         return default
     value = mapping[key]
     # JSON true/false load as bool, which Python also counts as an int
-    is_bool = isinstance(value, bool)
-    if kind is float and isinstance(value, int) and not is_bool:
-        value = float(value)
-    if is_bool or not isinstance(value, kind):
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(
             f"{source}: key '{key}' should be {kind}, got {type(value).__name__}"
         )
     if kind is float:
-        _finite((value,), f"{source}: key '{key}'")
+        return _numbers([value], f"{source}: key '{key}'")[0]
     return value
 
 
@@ -140,7 +153,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     model_part = _want(raw, "model", dict, source, required=True)
     preset = model_part.get("preset")
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(
                 f"{source}: unknown preset '{preset}' "
                 f"(known: {sorted(PRESETS)})")
@@ -151,14 +164,11 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         c = _want(model_part, "c", list, source + ":model", required=True)
     if dim < 1:
         raise ConfigError(f"{source}: model.dim must be >= 1")
-    try:
-        b = tuple(float(x) for x in b)
-        c = tuple(tuple(float(x) for x in row) for row in c)
-    except (TypeError, ValueError) as err:
+    if not all(isinstance(row, list) for row in c):
         raise ConfigError(f"{source}: model.b must be a list of numbers and "
-                          "model.c a list of rows of numbers") from err
-    _finite(b, f"{source}: model.b")
-    _finite(sum(c, ()), f"{source}: model.c")
+                          "model.c a list of rows of numbers")
+    b = _numbers(b, f"{source}: model.b")
+    c = tuple(_numbers(row, f"{source}: model.c") for row in c)
     flow_dim = len(c[0]) if c else 0
     if (len(b) != dim or len(c) != dim or flow_dim < 1
             or any(len(r) != flow_dim for r in c)):
@@ -172,14 +182,16 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     atoms = []
     for k, entry in enumerate(init_part):
         where = f"{source}:initial[{k}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: an atom must be a JSON object, "
+                              f"got {type(entry).__name__}")
         pos = _want(entry, "position", list, where, required=True)
         mass = _want(entry, "mass", float, where, required=True)
         if len(pos) != dim:
             raise ConfigError(f"{where}: position length != dim")
         if mass <= 0:
             raise ConfigError(f"{where}: mass must be positive")
-        atoms.append((_finite(tuple(float(x) for x in pos),
-                              f"{where}: position"), float(mass)))
+        atoms.append((_numbers(pos, f"{where}: position"), mass))
 
     sim = _want(raw, "sim", dict, source, required=True)
     n = _want(sim, "n", int, source + ":sim", required=True)
@@ -192,6 +204,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     seed = _want(sim, "seed", int, source + ":sim", required=True)
     for name, val in (("n", n), ("sub_steps", sub_steps),
                       ("horizon", horizon), ("replicates", replicates)):
+        _numbers([val], f"{source}:sim: {name}")
         if val <= 0:
             raise ConfigError(f"{source}:sim: {name} must be positive")
     grid_steps = round(horizon * n)
@@ -201,7 +214,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"{source}:sim: seed must be a nonnegative integer")
 
-    silt_part = raw.get("silt", {})
+    silt_part = _want(raw, "silt", dict, source, default={})
     lam = _want(silt_part, "lambda", float, source + ":silt", default=1.0)
     u = _want(silt_part, "u", list, source + ":silt", default=[0.0] * dim)
     eps = _want(silt_part, "eps", list, source + ":silt",
@@ -210,8 +223,8 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         raise ConfigError(f"{source}:silt: lambda must be positive")
     if len(u) != dim:
         raise ConfigError(f"{source}:silt: u length != dim")
-    u = _finite(tuple(float(x) for x in u), f"{source}:silt: u")
-    eps = _finite(tuple(float(e) for e in eps), f"{source}:silt: eps")
+    u = _numbers(u, f"{source}:silt: u")
+    eps = _numbers(eps, f"{source}:silt: eps")
     if not eps:
         raise ConfigError(f"{source}:silt: eps schedule must not be empty")
     if any(e <= 0 for e in eps):
@@ -228,7 +241,7 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
             raise ConfigError(f"{source}: unknown suite '{s}' "
                               f"(known: {list(SUITE_NAMES)})")
 
-    thresholds = raw.get("thresholds", {})
+    thresholds = _want(raw, "thresholds", dict, source, default={})
     mean_se = _want(thresholds, "mean_se", float, source + ":thresholds",
                     default=DEFAULT_MEAN_SE)
     var_se = _want(thresholds, "var_se", float, source + ":thresholds",
@@ -236,13 +249,13 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
 
     return ExperimentConfig(
         dim=dim, b=b, c=c, atoms=tuple(atoms),
-        n=n, sub_steps=sub_steps, horizon=float(horizon),
+        n=n, sub_steps=sub_steps, horizon=horizon,
         replicates=replicates, seed=seed,
-        lam=float(lam), u=u, eps_schedule=eps,
+        lam=lam, u=u, eps_schedule=eps,
         suites=tuple(suites),
         out_dir=str(raw.get("out", "flowsilt-out")),
         threads=_want(raw, "threads", int, source, default=1),
-        mean_se=float(mean_se), var_se=float(var_se),
+        mean_se=mean_se, var_se=var_se,
         source=source,
     )
 
@@ -280,6 +293,11 @@ def require_inputs(cfg: ExperimentConfig, names) -> None:
         if name == "eps-study" and len(cfg.eps_schedule) < 3:
             raise ConfigError(f"{where} needs at least three eps values, "
                               f"got {len(cfg.eps_schedule)}")
+        if name in ("green", "ito", "eps-study", "silt"):
+            try:
+                GreenFunction(cfg.model(), cfg.lam, np.asarray(cfg.u))
+            except GreenUsageError as err:
+                raise ConfigError(f"{where}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +423,10 @@ def suite_moments(cfg: ExperimentConfig) -> list[CheckResult]:
         estimate=m4, oracle=golden[3]))
 
     t0 = time.perf_counter()
-    counts_ok = (MomentFormula(3).term_count == 5
-                 and MomentFormula(4).term_count == 14)
+    count3, count4 = len(build_templates(3)), len(build_templates(4))
     checks.append(_flag_check(
-        "moments.term_counts", counts_ok, time.perf_counter() - t0,
-        f"order3 -> {MomentFormula(3).term_count}, "
-        f"order4 -> {MomentFormula(4).term_count}"))
+        "moments.term_counts", count3 == 5 and count4 == 14,
+        time.perf_counter() - t0, f"order3 -> {count3}, order4 -> {count4}"))
 
     # Monte Carlo agreement for mass moments at the horizon
     t0 = time.perf_counter()
@@ -512,15 +528,14 @@ def suite_green(cfg: ExperimentConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     t0 = time.perf_counter()
-    if base.closed_form:
-        rs = np.linspace(0.05, 3.0 / base.kappa, 40)
-        closed = base.radial(rs)
-        quadr = base.quadrature_radial(rs)
-        err = float(np.max(np.abs(closed - quadr)))
-        checks.append(_flag_check(
-            "green.closed_vs_quadrature", err <= 1e-8,
-            time.perf_counter() - t0, f"max abs deviation {err:.3g}",
-            estimate=err, oracle=0.0))
+    rs = np.linspace(0.05, 3.0 / base.kappa, 40)
+    closed = base.radial(rs)
+    quadr = base.quadrature_radial(rs)
+    err = float(np.max(np.abs(closed - quadr)))
+    checks.append(_flag_check(
+        "green.closed_vs_quadrature", err <= 1e-8,
+        time.perf_counter() - t0, f"max abs deviation {err:.3g}",
+        estimate=err, oracle=0.0))
 
     masses = []
     l1 = []

@@ -68,11 +68,8 @@ class TestFunction:
 
     dim: int
 
-    def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
     def value_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.value(x) for x in np.atleast_2d(xs)])
+        raise NotImplementedError
 
     def grad_many(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -83,9 +80,6 @@ class ConstantOne(TestFunction):
 
     def __init__(self, dim: int = 1):
         self.dim = dim
-
-    def value(self, x):
-        return 1.0
 
     def value_many(self, xs):
         return np.ones(np.atleast_2d(xs).shape[0])
@@ -108,10 +102,6 @@ class GaussianBump(TestFunction):
         eigs = np.linalg.eigvalsh(0.5 * (self.precision + self.precision.T))
         if eigs.min() <= 0:
             raise ValueError("precision matrix must be positive definite")
-
-    def value(self, x):
-        dx = np.asarray(x, dtype=float) - self.center
-        return self.amplitude * float(np.exp(-0.5 * dx @ self.precision @ dx))
 
     def value_many(self, xs):
         dx = np.atleast_2d(xs) - self.center

@@ -222,16 +222,6 @@ def evaluate_gamma_batch(kernels: ModelKernels, ell0: int,
     return amp, mean, prec, ids
 
 
-def diagonal_restrict(f: GaussianFunctional, i: int, j: int) -> GaussianFunctional:
-    """Identify argument blocks i and j (1-based), dropping arity by one."""
-    if i == j:
-        raise ValueError("blocks must be distinct")
-    lo, hi = sorted((i, j))
-    if not (1 <= lo and hi <= f.arity):
-        raise ValueError(f"blocks ({i}, {j}) out of range for arity {f.arity}")
-    return f.merge_blocks(lo - 1, hi - 1)
-
-
 # ---------------------------------------------------------------------------
 # initial-measure pairing
 
@@ -413,21 +403,6 @@ def _check_template(template: TermTemplate) -> None:
 for _order in (1, 2, 3, 4):
     for _tpl in build_templates(_order):
         _check_template(_tpl)
-
-
-@dataclass(frozen=True)
-class MomentFormula:
-    """The displayed term list for one moment order."""
-
-    order: int
-
-    @property
-    def terms(self) -> list[TermTemplate]:
-        return build_templates(self.order)
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -461,17 +461,6 @@ def gamma_epsilon(traj: RecordedTrajectory, kernel: MollifiedGreen,
     return dt * dt * float(cells[0].sum())
 
 
-def double_point_term(traj: RecordedTrajectory, kernel: MollifiedGreen,
-                      horizon: float) -> float:
-    """Left-endpoint time integral of the same-time pair functional."""
-    upto = traj.snap_index(horizon)
-    if upto == 0:
-        return 0.0
-    _, diag = _pair_pass(traj, kernel.u, upto - 1,
-                         diag=[(kernel.radial, math.inf)])
-    return traj.dt * float(diag[0].sum())
-
-
 def tanaka_decomposition(traj: RecordedTrajectory, kernel: MollifiedGreen,
                          lam: float, horizon: float) -> SiltComponents:
     """All components of the decomposition on one trajectory.

@@ -254,6 +254,35 @@ def heat_semigroup_bump(t: float, a: float, x: float = 0.0,
     return val
 
 
+def martingale_path(positions: Sequence[np.ndarray], dt: float, weight: float,
+                    center: np.ndarray, precision: np.ndarray,
+                    amplitude: float, a: np.ndarray) -> np.ndarray:
+    """Z_t(f) = <f, mu_t> - <f, mu_0> - int_0^t <L f, mu_s> ds on a
+    recorded grid, the time integral taken at left endpoints.
+
+    f is the bump amplitude * exp(-(x-c)' P (x-c) / 2) with P symmetric,
+    and L f = 0.5 f (v' a v - tr(a P)) with v = P (x - c), for the
+    constant one-particle diffusion matrix a.
+    """
+    center = np.asarray(center, dtype=float)
+    precision = np.asarray(precision, dtype=float)
+    a = np.asarray(a, dtype=float)
+    totals, generator = [], []
+    for x in positions:
+        dx = np.asarray(x, dtype=float).reshape(-1, center.size) - center
+        f = amplitude * np.exp(-0.5 * np.einsum("ki,ij,kj->k", dx,
+                                                precision, dx))
+        v = dx @ precision
+        lf = 0.5 * f * (np.einsum("ki,ij,kj->k", v, a, v)
+                        - np.trace(a @ precision))
+        totals.append(weight * f.sum())
+        generator.append(weight * lf.sum())
+    totals = np.array(totals)
+    z = np.zeros_like(totals)
+    z[1:] = totals[1:] - totals[0] - dt * np.cumsum(generator[:-1])
+    return z
+
+
 # ---------------------------------------------------------------------------
 # resolvent references
 
@@ -318,24 +347,15 @@ def split_events(labels) -> list[tuple[int, tuple[int, ...]]]:
 def brute_force_classify(labels) -> tuple[str, tuple[int, ...]]:
     """Shape name and sorted split generations, from scratch.
 
-    Returns one of four_trees/one_pair/two_pairs/triple_plus_one/
-    nested_pairs/caterpillar for quadruples and three_trees/
-    pair_plus_one/single_tree_triple for triples, with the generation
-    tuple in the same convention as the package classifier: every split
-    event's generation, ordered by the chain (earliest first, and for a
+    Takes a quadruple and returns one of four_trees/one_pair/two_pairs/
+    triple_plus_one/nested_pairs/caterpillar, with the generation tuple
+    in the same convention as the package classifier: every split event's
+    generation, ordered by the chain (earliest first, and for a
     first 2+2 split the two later pair splits sorted ascending).
     """
-    n = len(labels)
     sizes = sorted(len(b) for b in _partition_at(labels, 0))
     events = split_events(labels)
     gens = [g for g, _ in events]
-
-    if n == 3:
-        if sizes == [1, 1, 1]:
-            return "three_trees", ()
-        if sizes == [1, 2]:
-            return "pair_plus_one", (gens[0],)
-        return "single_tree_triple", tuple(gens)
 
     if sizes == [1, 1, 1, 1]:
         return "four_trees", ()

@@ -13,8 +13,6 @@ from flowsilt.engine import (
     ObservableSpec,
     SimulationDiverged,
     generator_values,
-    martingale_path,
-    quadratic_variation_check,
     simulate_ensemble,
     write_replicate_csv,
 )
@@ -25,6 +23,8 @@ from flowsilt.model import (
     TestFunction,
     a_matrix,
 )
+
+from oracles import martingale_path
 
 BM1D = CoefficientModel.constant([1.0], [[1.0]])
 DELTA0 = InitialMeasureSpec.point([0.0])
@@ -104,7 +104,8 @@ def test_martingale_mean_zero_and_bracket():
     acc = res.martingales["z"]
     se = acc.z_final.std(ddof=1) / math.sqrt(acc.z_final.size)
     assert abs(acc.z_final.mean()) < 4.0 * se
-    emp, pred = quadratic_variation_check(res, f)
+    emp = float(np.mean(acc.z_final ** 2))
+    pred = float(np.mean(acc.bracket))
     assert pred > 0
     assert abs(emp - pred) / pred < 0.10
 
@@ -114,18 +115,12 @@ def test_martingale_path_matches_ensemble_accumulator():
     res = simulate_ensemble(BM1D, DELTA0, 12, 1.0, seed=9, replicates=1,
                             sub_steps=2, martingales=[MartingaleSpec("z", f)],
                             record="full")
-    z_path = martingale_path(res.trajectory(0), f)
+    traj = res.trajectory(0)
+    z_path = martingale_path(traj.positions, traj.dt, traj.weight, f.center,
+                             f.precision, f.amplitude, a_matrix(BM1D))
     assert z_path[0] == 0.0
     assert z_path[-1] == pytest.approx(float(res.martingales["z"].z_final[0]),
                                        rel=1e-9, abs=1e-12)
-
-
-def test_quadratic_variation_check_requires_registration():
-    f = GaussianBump([0.0], [[1.0]])
-    res = simulate_ensemble(BM1D, DELTA0, 8, 0.25, seed=1, replicates=2,
-                            record="none")
-    with pytest.raises(EngineUsageError, match="registered"):
-        quadratic_variation_check(res, f)
 
 
 def test_observables_recorded_at_requested_times():
@@ -152,16 +147,18 @@ def test_init_population_largest_remainder_rounding():
     spec = InitialMeasureSpec.from_atoms([([0.0], 0.6), ([1.0], 0.4)])
     res = simulate_ensemble(BM1D, spec, 5, horizon=0.0, seed=0, replicates=1,
                             record="full")
-    mu = res.trajectory(0).measure_at(0.0)
-    assert mu.positions.shape == (5, 1)
-    assert np.sum(mu.positions[:, 0] == 0.0) == 3
-    assert np.sum(mu.positions[:, 0] == 1.0) == 2
+    traj = res.trajectory(0)
+    atoms = traj.positions[traj.snap_index(0.0)]
+    assert atoms.shape == (5, 1)
+    assert np.sum(atoms[:, 0] == 0.0) == 3
+    assert np.sum(atoms[:, 0] == 1.0) == 2
     assert res.final_mass[0] == pytest.approx(1.0)
 
     uneven = InitialMeasureSpec.from_atoms([([0.0], 0.5), ([1.0], 0.25), ([2.0], 0.25)])
     res2 = simulate_ensemble(BM1D, uneven, 2, horizon=0.0, seed=0,
                              replicates=1, record="full")
-    assert res2.trajectory(0).measure_at(0.0).positions.shape[0] == 2
+    traj2 = res2.trajectory(0)
+    assert traj2.positions[traj2.snap_index(0.0)].shape[0] == 2
 
 
 def test_measure_at_snaps_and_rejects_out_of_range():
@@ -171,10 +168,9 @@ def test_measure_at_snaps_and_rejects_out_of_range():
     assert len(traj.times) == 5  # 0.5 * 4 grid steps * 2 sub-steps + 1
     assert traj.dt == pytest.approx(0.125)
     assert traj.times[-1] == pytest.approx(0.5)
-    mu = traj.measure_at(0.25)
-    assert mu.time == pytest.approx(0.25)
+    assert traj.times[traj.snap_index(0.25)] == pytest.approx(0.25)
     with pytest.raises(EngineUsageError, match="range"):
-        traj.measure_at(3.0)
+        traj.snap_index(3.0)
 
 
 def test_off_grid_horizon_rejected():

@@ -19,34 +19,41 @@ def scalar_member(amp=1.0, mean=0.0, prec=1.0):
     return GaussianFunctional(1, 1, amp, np.array([mean]), np.array([[prec]]))
 
 
+def params(f: GaussianFunctional):
+    return f.amplitude, f.mean, f.precision
+
+
 def test_convolution_matches_quadrature():
     f = scalar_member(amp=0.8, mean=0.4, prec=2.5)
     t = 0.37
-    g = f.convolve(np.array([[t]]))
+    g = convolve_params(*params(f), np.array([[t]]))
 
     def integrand(y, x):
-        return (f.value(np.array([[y]]))
+        return (value_params(*params(f), np.array([y]))
                 * np.exp(-((x - y) ** 2) / (2 * t)) / np.sqrt(2 * np.pi * t))
 
     for x in (-1.0, 0.0, 0.6, 2.3):
         expected, _ = quad(integrand, -np.inf, np.inf, args=(x,))
-        assert g.value(np.array([[x]])) == pytest.approx(expected, rel=1e-10)
+        assert value_params(*g, np.array([x])) == pytest.approx(expected,
+                                                                rel=1e-10)
 
 
 def test_convolution_semigroup_property():
     f = scalar_member(amp=1.0, mean=-0.2, prec=1.7)
-    one_step = f.convolve(np.array([[0.5]]))
-    two_steps = f.convolve(np.array([[0.2]])).convolve(np.array([[0.3]]))
-    x = np.array([[0.9]])
-    assert one_step.value(x) == pytest.approx(float(two_steps.value(x)), rel=1e-12)
-    assert one_step.amplitude == pytest.approx(two_steps.amplitude, rel=1e-12)
+    one_step = convolve_params(*params(f), np.array([[0.5]]))
+    two_steps = convolve_params(*convolve_params(*params(f), np.array([[0.2]])),
+                                np.array([[0.3]]))
+    x = np.array([0.9])
+    assert value_params(*one_step, x) == pytest.approx(
+        float(value_params(*two_steps, x)), rel=1e-12)
+    assert one_step[0] == pytest.approx(two_steps[0], rel=1e-12)
 
 
 def test_convolving_constant_one_is_identity():
     one = GaussianFunctional.constant_one(2, 1)
-    out = one.convolve(0.4 * np.eye(2))
-    assert out.amplitude == pytest.approx(1.0)
-    assert np.allclose(out.precision, 0.0)
+    amp, _, prec = convolve_params(*params(one), 0.4 * np.eye(2))
+    assert amp == pytest.approx(1.0)
+    assert np.allclose(prec, 0.0)
 
 
 def test_convolve_rejects_indefinite_inputs():
@@ -69,12 +76,12 @@ def test_merge_blocks_equals_diagonal_restriction():
     a = rng.normal(size=(4, 4))
     prec = a @ a.T
     f = GaussianFunctional(2, 2, 1.3, m, prec)
-    g = f.merge_blocks(0, 1)
+    g = pullback_params(*params(f), merge_embedding(2, 2, 0, 1))
     for _ in range(5):
         x = rng.normal(size=2)
-        stacked = np.stack([x, x])[None]
-        assert g.value(x[None, None]).item() == pytest.approx(
-            f.value(stacked).item(), rel=1e-10)
+        assert value_params(*g, x).item() == pytest.approx(
+            value_params(*params(f), np.concatenate([x, x])).item(),
+            rel=1e-10)
 
 
 def test_product_builds_block_diagonal():
@@ -83,10 +90,9 @@ def test_product_builds_block_diagonal():
     p = GaussianFunctional.product([f1, f2])
     assert p.arity == 2
     assert p.amplitude == pytest.approx(1.0)
-    x = np.array([[0.1], [0.2]])
-    assert p.value(x[None]).item() == pytest.approx(
-        f1.value(np.array([[0.1]])).item() * f2.value(np.array([[0.2]])).item(),
-        rel=1e-12)
+    assert value_params(*params(p), np.array([0.1, 0.2])).item() == pytest.approx(
+        value_params(*params(f1), np.array([0.1])).item()
+        * value_params(*params(f2), np.array([0.2])).item(), rel=1e-12)
 
 
 def test_product_rejects_multi_block_factors():
@@ -101,8 +107,8 @@ def test_pullback_handles_degenerate_precision():
     prec = np.zeros((2, 2))
     prec[0, 0] = 3.0
     f = GaussianFunctional(2, 1, 1.0, np.array([0.5, 9.9]), prec)
-    g = f.merge_blocks(0, 1)
-    assert float(g.value(np.array([[0.5]]))) == pytest.approx(1.0)
+    g = pullback_params(*params(f), merge_embedding(2, 1, 0, 1))
+    assert float(value_params(*g, np.array([0.5]))) == pytest.approx(1.0)
 
 
 def test_value_params_broadcasts_batches():
@@ -126,7 +132,7 @@ def test_pullback_amplitude_accounts_for_offset_energy():
     # direct evaluation at the least squares representative
     prec = np.eye(2)
     f = GaussianFunctional(2, 1, 1.0, np.array([1.0, -1.0]), prec)
-    g = f.merge_blocks(0, 1)
+    g = pullback_params(*params(f), merge_embedding(2, 1, 0, 1))
     # g(z) = exp(-((z-1)^2 + (z+1)^2)/2), peak at z=0 with value e^{-1}
-    assert g.sup_norm() == pytest.approx(np.exp(-1.0), rel=1e-12)
-    assert float(g.value(np.array([[0.0]]))) == pytest.approx(np.exp(-1.0), rel=1e-12)
+    assert float(value_params(*g, np.array([0.0]))) == pytest.approx(
+        np.exp(-1.0), rel=1e-12)

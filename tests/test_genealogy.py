@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from flowsilt.genealogy import (
     Label,
     Topology,
-    ancestor_at,
     arrangement_count,
     classify_topology,
     mrca,
@@ -43,14 +42,6 @@ def test_label_rejects_bad_input():
         Label(1, (0, 2))
 
 
-def test_ancestor_at_drops_trailing_bits():
-    lab = Label(3, (1, 0, 1))
-    assert ancestor_at(lab, 0) == lab
-    assert ancestor_at(lab, 2) == Label(3, (1,))
-    with pytest.raises(ValueError):
-        ancestor_at(lab, 4)
-
-
 def test_mrca_prefix_depth():
     a = Label(1, (0, 1, 1, 0))
     b = Label(1, (0, 1, 0, 0))
@@ -62,8 +53,10 @@ def test_mrca_prefix_depth():
 
 def test_classify_rejects_malformed_tuples():
     base = [Label(1, (0,)), Label(2, (0,)), Label(3, (0,)), Label(4, (0,))]
-    with pytest.raises(ValueError, match="triples and quadruples"):
+    with pytest.raises(ValueError, match="quadruples only"):
         classify_topology(base[:2])
+    with pytest.raises(ValueError, match="quadruples only"):
+        classify_topology(base[:3])
     with pytest.raises(ValueError, match="distinct"):
         classify_topology([base[0]] * 4)
     with pytest.raises(ValueError, match="common depth"):
@@ -90,27 +83,10 @@ def test_known_quadruple_shapes():
     assert classify_topology(cat) == (Topology.CATERPILLAR, (0, 1, 2))
 
 
-def test_known_triple_shapes():
-    three = [Label(r, ()) for r in (1, 2, 3)]
-    assert classify_topology(three) == (Topology.THREE_TREES, ())
-    trio = [Label(1, (0, 0)), Label(1, (0, 1)), Label(1, (1, 1))]
-    assert classify_topology(trio) == (Topology.SINGLE_TREE_TRIPLE, (0, 1))
-
-
 def test_classifier_matches_brute_force_on_random_quadruples():
     rs = np.random.default_rng(2024)
     for _ in range(3000):
         labels = random_labels(rs, 4, int(rs.integers(1, 6)), roots=int(rs.integers(1, 5)))
-        topo, gens = classify_topology(labels)
-        name, oracle_gens = brute_force_classify(labels)
-        assert topo.name.lower() == name
-        assert gens == oracle_gens
-
-
-def test_classifier_matches_brute_force_on_random_triples():
-    rs = np.random.default_rng(77)
-    for _ in range(1500):
-        labels = random_labels(rs, 3, int(rs.integers(1, 5)), roots=int(rs.integers(1, 4)))
         topo, gens = classify_topology(labels)
         name, oracle_gens = brute_force_classify(labels)
         assert topo.name.lower() == name
@@ -133,8 +109,6 @@ def test_arrangement_counts():
     assert arrangement_count(Topology.TRIPLE_PLUS_ONE) == 48
     assert arrangement_count(Topology.NESTED_PAIRS) == 12
     assert arrangement_count(Topology.CATERPILLAR) == 24
-    with pytest.raises(ValueError, match="triple"):
-        arrangement_count(Topology.THREE_TREES)
 
 
 @st.composite

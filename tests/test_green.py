@@ -70,32 +70,13 @@ def test_kernel_diverges_at_origin_above_d1():
     assert g3.radial(0.0) == math.inf
 
 
-def test_value_uses_shift_point():
-    u = np.array([0.3, -0.2, 0.1])
-    g = GreenFunction(iso_model(3, 1.0), lam=1.0, u=u)
-    g0 = GreenFunction(iso_model(3, 1.0), lam=1.0)
-    x = np.array([0.8, 0.1, -0.4])
-    assert g.value(x) == pytest.approx(g0.value(x - u), rel=1e-13)
-    assert GreenFunction(iso_model(3, 1.0), 1.0, u).value(x) == pytest.approx(
-        g.value(x), rel=1e-13)
-
-
-def test_anisotropic_value_agrees_with_whitened_quadrature():
-    model = CoefficientModel.constant(b=(1.0, 0.5), c=np.array([[0.4], [0.3]]))
-    g = GreenFunction(model, lam=1.0)
-    x = np.array([0.6, -0.3])
-    a = g.a_full
-
-    def integrand(t):
-        det = np.linalg.det(2.0 * math.pi * t * a)
-        quad_form = x @ np.linalg.solve(t * a, x)
-        return math.exp(-t) * math.exp(-0.5 * quad_form) / math.sqrt(det)
-
-    expected, _ = quad(integrand, 0.0, 60.0, epsabs=1e-12, epsrel=1e-11,
-                       limit=300)
-    assert g.value(x) == pytest.approx(expected, rel=1e-8)
-    with pytest.raises(GreenUsageError, match="isotropic"):
-        g.radial(0.5)
+def test_kernels_refuse_anisotropic_and_high_dimensional_models():
+    """Only isotropic models in d = 1, 2, 3 have the kernels the
+    estimators read."""
+    anisotropic = CoefficientModel.constant(b=(1.0, 0.5), c=np.eye(2))
+    for model in (anisotropic, iso_model(4, 1.0)):
+        with pytest.raises(GreenUsageError, match="isotropic"):
+            GreenFunction(model, lam=1.0)
 
 
 def test_mollifier_has_unit_mass_each_dimension():
@@ -288,8 +269,7 @@ def test_mollified_guards():
     base1 = GreenFunction(iso_model(1, 1.0), lam=1.0)
     with pytest.raises(GreenUsageError, match="eps"):
         MollifiedGreen(base1, 0.0)
-    base4 = GreenFunction(iso_model(4, 1.0), lam=1.0)
     with pytest.raises(GreenUsageError, match="dimension"):
-        MollifiedGreen(base4, 0.1)
+        GreenFunction(iso_model(4, 1.0), lam=1.0)
     with pytest.raises(GreenUsageError, match="lambda"):
         GreenFunction(iso_model(1, 1.0), lam=0.0)

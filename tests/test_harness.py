@@ -16,6 +16,7 @@ from flowsilt.harness import (ConfigError, StatReport, _flag_check, _z_check,
 
 NAN = float("nan")
 INF = float("inf")
+BIG = json.loads("1" + "0" * 400)
 
 
 def base_dict() -> dict:
@@ -152,6 +153,36 @@ def mutate(path: str, value) -> dict:
     (mutate("silt.eps", [0.4, NAN, 0.1]), "eps must be finite"),
     (mutate("silt.u", [NAN]), "u must be finite"),
     (mutate("thresholds.mean_se", NAN), "'mean_se' must be finite"),
+    # json reads a 401-digit literal as an exact int, beyond any float
+    (mutate("initial", [{"position": [0.0], "mass": BIG}]),
+     "'mass' holds an integer beyond the float range"),
+    (mutate("sim.horizon", BIG), "'horizon' holds an integer beyond"),
+    (mutate("silt.lambda", BIG), "'lambda' holds an integer beyond"),
+    (mutate("sim.n", BIG), "n holds an integer beyond"),
+    (mutate("model", {"dim": 1, "b": [BIG], "c": [[1.0]]}),
+     "model.b holds an integer beyond"),
+    (mutate("silt.u", [BIG]), "u holds an integer beyond"),
+    (mutate("initial", [{"position": ["x"], "mass": 1.0}]),
+     "position must hold numbers only, got str"),
+    (mutate("silt.u", ["x"]), "u must hold numbers only, got str"),
+    (mutate("silt.eps", [0.4, "x", 0.1]), "eps must hold numbers only"),
+    (mutate("model", {"dim": 1, "b": [True], "c": [[1.0]]}),
+     "model.b must hold numbers only, got bool"),
+    (mutate("model", {"dim": 1, "b": [1.0], "c": [[True]]}),
+     "model.c must hold numbers only, got bool"),
+    (mutate("initial", [{"position": [True], "mass": 1.0}]),
+     "position must hold numbers only, got bool"),
+    (mutate("silt.u", [True]), "u must hold numbers only, got bool"),
+    (mutate("silt.eps", [True, 0.5, 0.1]), "eps must hold numbers only"),
+    (mutate("model", {"dim": 1, "b": ["1.0"], "c": [[1.0]]}),
+     "model.b must hold numbers only, got str"),
+    (mutate("initial", [{"position": ["1.0"], "mass": 1.0}]),
+     "position must hold numbers only, got str"),
+    (mutate("initial", [1]), r"initial\[0\]: an atom must be a JSON object"),
+    (mutate("thresholds", 1), "key 'thresholds' should be"),
+    (mutate("thresholds", [1]), "key 'thresholds' should be"),
+    (mutate("silt", [1]), "key 'silt' should be"),
+    (mutate("model", {"preset": [1]}), "unknown preset"),
 ])
 def test_config_rejections(raw: dict, message: str) -> None:
     with pytest.raises(ConfigError, match=message):
@@ -410,30 +441,46 @@ def test_cli_report_full_cycle(tmp_path: Path, capsys) -> None:
     assert (tmp_path / "out" / "report.md").exists()
 
 
-@pytest.mark.parametrize("sim, silt, commands, message", [
+KERNEL_COMMANDS = [["silt"], ["eps-study"], ["report", "green"],
+                   ["report", "ito"]]
+EYE4 = [[float(i == j) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("model, sim, silt, commands, message", [
     # 5 recorded time points: too coarse for the double time integrals
-    ({"n": 4, "horizon": 1.0, "sub_steps": 1}, {},
+    (None, {"n": 4, "horizon": 1.0, "sub_steps": 1}, {},
      [["eps-study"], ["report", "eps-study"], ["silt"], ["report", "ito"]],
      "at least 8 recorded time points"),
-    ({}, {"eps": [0.4, 0.2]}, [["eps-study"]], "at least three eps values"),
-    ({}, {"eps": []}, [["eps-study"], ["report", "ito"]],
+    (None, {}, {"eps": [0.4, 0.2]}, [["eps-study"]],
+     "at least three eps values"),
+    (None, {}, {"eps": []}, [["eps-study"], ["report", "ito"]],
      "eps schedule must not be empty"),
-    ({"replicates": 1}, {}, [["report", "mass"], ["eps-study"]],
+    (None, {"replicates": 1}, {}, [["report", "mass"], ["eps-study"]],
      "at least 2 replicates"),
     # 0.53 * 16 grid steps: the engine would stop at 0.5
-    ({"horizon": 0.53, "sub_steps": 4}, {},
+    (None, {"horizon": 0.53, "sub_steps": 4}, {},
      [["silt"], ["report", "ito"], ["eps-study"]],
      "not a multiple of the grid step"),
     # NaN shift point: a spurious ito residual FAIL before it was refused
-    ({}, {"u": [NAN]},
+    (None, {}, {"u": [NAN]},
      [["validate"], ["simulate"], ["silt"], ["eps-study"], ["report", "ito"]],
      "u must be finite"),
+    # no resolvent kernel exists for these models; each was a traceback
+    ({"dim": 2, "b": [1.0, 0.5], "c": [[1.0, 0.0], [0.0, 1.0]]}, {}, {},
+     KERNEL_COMMANDS, "not a multiple of I"),
+    ({"dim": 4, "b": [1.0, 0.5, 1.0, 1.0], "c": EYE4}, {}, {},
+     KERNEL_COMMANDS, "not a multiple of I"),
+    ({"dim": 4, "b": [1.0] * 4, "c": EYE4}, {}, {},
+     KERNEL_COMMANDS, "got dimension 4"),
 ], ids=["unresolved-grid", "two-eps", "no-eps", "one-replicate",
-        "off-grid-horizon", "non-finite-u"])
+        "off-grid-horizon", "non-finite-u", "anisotropic-d2",
+        "anisotropic-d4", "isotropic-d4"])
 def test_cli_refuses_inputs_without_a_meaningful_answer(
-        tmp_path: Path, capsys, sim, silt, commands, message) -> None:
+        tmp_path: Path, capsys, model, sim, silt, commands, message) -> None:
     for command in commands:
         raw = base_dict()
+        if model is not None:
+            raw["model"] = model
         raw["sim"].update(sim)
         raw["silt"] = silt
         raw["out"] = str(tmp_path / "out")

@@ -25,7 +25,6 @@ from flowsilt.silt import (
     _components,
     _pair_pass,
     decomposition_ensemble,
-    double_point_term,
     epsilon_convergence_study,
     gamma_epsilon,
     isotropic_alpha,
@@ -69,7 +68,8 @@ def test_frozen_atom_component_closed_forms():
     traj = frozen_atom_trajectory()
     kern = bm1_kernel()
     gamma = gamma_epsilon(traj, kern, 1.0, 1.0)
-    dp = double_point_term(traj, kern, 1.0)
+    comp = tanaka_decomposition(traj, kern, 1.0, 1.0)
+    dp = comp.double_point
 
     dt = 1.0 / 16.0
     pair_count = 16 * 15 / 2.0
@@ -78,9 +78,7 @@ def test_frozen_atom_component_closed_forms():
     assert gamma == pytest.approx(0.21941212204891541, abs=1e-15)
     assert dp == pytest.approx(G_EPS_AT_ZERO, abs=1e-15)
 
-    comp = tanaka_decomposition(traj, kern, 1.0, 1.0)
     assert comp.gamma == pytest.approx(gamma, rel=1e-13)
-    assert comp.double_point == pytest.approx(dp, rel=1e-13)
     assert comp.stochastic_term == 0.0
     assert comp.ito_residual == 0.0
     assert comp.renormalized == comp.gamma - comp.double_point
@@ -187,12 +185,12 @@ def test_estimators_match_dense_pair_grid(dim):
     assert gamma_epsilon(traj, kern, 1.0, 0.5) == pytest.approx(gamma,
                                                                 rel=1e-12)
     dp = dt * float(grid.diagonal(kern.radial)[:upto].sum())
-    assert double_point_term(traj, kern, 0.5) == pytest.approx(dp, rel=1e-12)
+    comp = tanaka_decomposition(traj, kern, 1.0, 0.5)
+    assert comp.double_point == pytest.approx(dp, rel=1e-12)
 
     dense = _components(grid.strict_matrix(kern.radial),
                         grid.strict_matrix(kern.lambda_minus_l_radial),
                         grid.diagonal(kern.radial), 1.0, rho, dt, upto)
-    comp = tanaka_decomposition(traj, kern, 1.0, 0.5)
     for field in ("gamma", "double_point", "lambda_term", "boundary_term",
                   "stochastic_term", "renormalized"):
         assert getattr(comp, field) == pytest.approx(getattr(dense, field),
